@@ -326,7 +326,6 @@ def load_checkpoint(
         worker_speeds=config.worker_speeds,
         wire_format=config.wire_format,
         backend=config.backend,
-        kernel_tier=config.kernel_tier,
     )
     # the engine's graph copy is authoritative; keep cluster.graph == it
     engine.cluster = cluster

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -13,17 +12,13 @@ from ..model.logp import DEFAULT_LOGP, LogPParams
 from ..model.schedules import CommSchedule, SequentialAllToAll
 from ..partition.base import Partitioner
 from ..partition.multilevel import MultilevelPartitioner
+from ..types import RECOVERY_POLICIES
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.chaos import FaultPlan
     from ..runtime.health import HealthPolicy
 
 __all__ = ["AnytimeConfig", "ResilienceConfig"]
-
-#: valid crash-recovery policy names; literal duplicate of
-#: runtime.chaos.RECOVERY_POLICIES — config must stay importable
-#: without pulling in the runtime package
-_RECOVERY_POLICIES = ("warm", "checkpoint", "redistribute", "escalate")
 
 
 @dataclass
@@ -53,7 +48,7 @@ class ResilienceConfig:
     fault_plan: Optional["FaultPlan"] = None
 
     def __post_init__(self) -> None:
-        if self.recovery not in _RECOVERY_POLICIES:
+        if self.recovery not in RECOVERY_POLICIES:
             raise ConfigurationError(
                 f"unknown recovery policy {self.recovery!r}"
             )
@@ -100,16 +95,6 @@ class AnytimeConfig:
         (:class:`ResilienceConfig`: ``recovery``,
         ``checkpoint_interval``, ``fault_plan``).  Always populated
         after construction; defaults are built when omitted.
-    recovery:
-        Deprecated — pass ``resilience=ResilienceConfig(recovery=...)``.
-        Kept one release as a shim: a non-``None`` value emits a
-        :class:`DeprecationWarning` and is folded into ``resilience``.
-        After construction the attribute mirrors
-        ``resilience.recovery`` for readers.
-    checkpoint_interval:
-        Deprecated — pass
-        ``resilience=ResilienceConfig(checkpoint_interval=...)``.  Same
-        shim + mirror behavior as ``recovery``.
     health:
         Optional :class:`~repro.runtime.health.HealthPolicy` enabling the
         self-healing runtime for fault-injected runs: per-rank liveness
@@ -131,19 +116,6 @@ class AnytimeConfig:
         and modeled clocks; only wall-clock time differs.  The default
         honors the ``REPRO_BACKEND`` environment variable so whole test
         suites can be re-run under another backend without code changes.
-    kernel_tier:
-        Which kernel implementation executes the per-rank compute (see
-        :mod:`repro.runtime.kernels`): ``"numpy"`` (the default — the
-        original statements, kept as the bitwise oracle), ``"scipy"``
-        (same arithmetic, source-chunked IA so one rank's Dijkstra fans
-        out across the process pool) or ``"numba"`` (optional
-        ``@njit``-compiled kernels, ``pip install repro[numba]``,
-        auto-falling back to ``scipy`` behavior when numba is absent).
-        ``numpy`` and ``scipy`` are bitwise-identical in closeness,
-        traces and modeled clocks; ``numba`` is exact on relaxation and
-        min-plus and bounded on Dijkstra (see
-        ``repro.runtime.kernels.NUMBA_CLOSENESS_RTOL``).  Honors the
-        ``REPRO_KERNEL_TIER`` environment variable, like ``backend``.
     observers:
         Observability specs handed to :func:`repro.obs.build_hub` —
         exporter strings (``"jsonl:PATH"``, ``"perfetto:PATH"``,
@@ -173,15 +145,10 @@ class AnytimeConfig:
     worker_speeds: Optional[List[float]] = None
     strategy_policy: str = "signals"
     resilience: Optional[ResilienceConfig] = None
-    recovery: Optional[str] = None
-    checkpoint_interval: Optional[int] = None
     health: Optional["HealthPolicy"] = None
     wire_format: str = "delta"
     backend: str = field(
         default_factory=lambda: os.environ.get("REPRO_BACKEND", "serial")
-    )
-    kernel_tier: str = field(
-        default_factory=lambda: os.environ.get("REPRO_KERNEL_TIER", "numpy")
     )
     observers: Sequence[object] = ()
 
@@ -196,7 +163,8 @@ class AnytimeConfig:
             )
         if not self.strategy_policy:
             raise ConfigurationError("strategy_policy must be a policy name")
-        self._fold_resilience()
+        if self.resilience is None:
+            self.resilience = ResilienceConfig()
         if self.health is not None:
             # lazy import: the runtime package is only pulled in when the
             # self-healing features are actually requested
@@ -218,13 +186,6 @@ class AnytimeConfig:
             raise ConfigurationError(
                 f"backend must be 'serial' or 'process',"
                 f" got {self.backend!r}"
-            )
-        # literal duplicate of runtime.kernels.available_tiers(), for
-        # the same importability reason
-        if self.kernel_tier not in ("numpy", "scipy", "numba"):
-            raise ConfigurationError(
-                f"kernel_tier must be 'numpy', 'scipy' or 'numba',"
-                f" got {self.kernel_tier!r}"
             )
         for spec in self.observers:
             if not isinstance(spec, str):
@@ -256,53 +217,3 @@ class AnytimeConfig:
             self.cutedge_partitioner = MultilevelPartitioner(seed=self.seed + 1)
         if self.schedule is None:
             self.schedule = SequentialAllToAll()
-
-    def _fold_resilience(self) -> None:
-        """Fold the deprecated flat kwargs into the ``resilience`` group.
-
-        Legacy ``recovery`` / ``checkpoint_interval`` values warn and
-        seed the group; values that merely *match* an explicit group
-        pass silently so ``dataclasses.replace`` round-trips (the
-        mirror writes both forms back onto the instance).  Conflicting
-        values are a configuration error, never a silent pick.
-        """
-        given = {
-            name: value
-            for name, value in (
-                ("recovery", self.recovery),
-                ("checkpoint_interval", self.checkpoint_interval),
-            )
-            if value is not None
-        }
-        res = self.resilience
-        if res is None:
-            if given:
-                warnings.warn(
-                    f"AnytimeConfig({', '.join(sorted(given))}=...) is"
-                    " deprecated; pass"
-                    " resilience=ResilienceConfig(...) instead"
-                    " (the flat kwargs will be removed next release)",
-                    DeprecationWarning,
-                    stacklevel=4,
-                )
-            self.resilience = res = ResilienceConfig(
-                recovery=given.get("recovery", "warm"),  # type: ignore[arg-type]
-                checkpoint_interval=given.get(  # type: ignore[arg-type]
-                    "checkpoint_interval", 8
-                ),
-            )
-        else:
-            conflicts = sorted(
-                name
-                for name, value in given.items()
-                if value != getattr(res, name)
-            )
-            if conflicts:
-                raise ConfigurationError(
-                    "conflicting resilience settings: deprecated"
-                    f" {conflicts} disagree with resilience=..."
-                )
-        # mirror the resolved group onto the flat fields so readers of
-        # the deprecated attributes keep seeing concrete values
-        self.recovery = res.recovery
-        self.checkpoint_interval = res.checkpoint_interval

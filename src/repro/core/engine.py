@@ -25,10 +25,8 @@ comparison point.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -58,7 +56,6 @@ from .snapshots import AnytimeSnapshot, take_snapshot
 from .strategies import DynamicStrategy, make_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..runtime.chaos import FaultPlan
     from ..runtime.health import HealthMonitor
 
 logger = logging.getLogger("repro.engine")
@@ -130,7 +127,7 @@ class RunResult:
     convergence: Dict[str, Dict[str, float]] = field(default_factory=dict)
     # --- cost attribution ---------------------------------------------
     #: folded cost-attribution profile (:class:`repro.obs.profile.Profile`
-    #: as a dict): modeled time per phase/rank/kernel-tier, hot paths,
+    #: as a dict): modeled time per phase/rank, hot paths,
     #: coverage — populated on every run, observers on or off
     profile: Dict[str, Any] = field(default_factory=dict)
 
@@ -212,7 +209,6 @@ class AnytimeAnywhereCloseness:
             worker_speeds=cfg.worker_speeds,
             wire_format=cfg.wire_format,
             backend=cfg.backend,
-            kernel_tier=cfg.kernel_tier,
             obs=self.obs,
         )
         self.cluster.decompose(cfg.partitioner)
@@ -248,48 +244,6 @@ class AnytimeAnywhereCloseness:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def _resolve_resilience(
-        self,
-        resilience: Optional[ResilienceConfig],
-        fault_plan: Optional["FaultPlan"],
-        recovery: Optional[str],
-        checkpoint_interval: Optional[int],
-    ) -> ResilienceConfig:
-        """Merge the run-level resilience override with the legacy kwargs.
-
-        The flat ``fault_plan`` / ``recovery`` / ``checkpoint_interval``
-        kwargs are deprecated shims: they warn, then override the
-        corresponding group fields for this call only.
-        """
-        legacy = {
-            name: value
-            for name, value in (
-                ("fault_plan", fault_plan),
-                ("recovery", recovery),
-                ("checkpoint_interval", checkpoint_interval),
-            )
-            if value is not None
-        }
-        if legacy:
-            warnings.warn(
-                f"run({', '.join(sorted(legacy))}=...) is deprecated; pass"
-                " resilience=ResilienceConfig(...) instead (the flat"
-                " kwargs will be removed next release)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        base = resilience if resilience is not None else self.config.resilience
-        assert base is not None  # config always populates the group
-        effective = dataclasses.replace(base, **legacy) if legacy else base
-        if effective.fault_plan is None and (
-            recovery is not None
-            or checkpoint_interval is not None
-        ):
-            raise ConfigurationError(
-                "recovery/checkpoint_interval only apply with a fault_plan"
-            )
-        return effective
-
     def run(
         self,
         *,
@@ -298,9 +252,6 @@ class AnytimeAnywhereCloseness:
         budget_modeled_seconds: Optional[float] = None,
         step_budget: Optional[int] = None,
         resilience: Optional[ResilienceConfig] = None,
-        fault_plan: Optional["FaultPlan"] = None,
-        recovery: Optional[str] = None,
-        checkpoint_interval: Optional[int] = None,
     ) -> RunResult:
         """Run the RC phase to convergence, absorbing ``changes``.
 
@@ -329,9 +280,7 @@ class AnytimeAnywhereCloseness:
         ``recovery`` policy (``"warm"`` | ``"checkpoint"`` |
         ``"redistribute"`` | ``"escalate"``) and
         ``checkpoint_interval``.  The result carries the fault/recovery
-        accounting and the canonical event trace.  The flat
-        ``fault_plan`` / ``recovery`` / ``checkpoint_interval`` kwargs
-        are deprecated shims for the group (one-release migration).
+        accounting and the canonical event trace.
 
         With ``config.health`` set (or ``recovery="escalate"``, which
         builds a default policy), the self-healing runtime engages:
@@ -345,9 +294,8 @@ class AnytimeAnywhereCloseness:
         """
         cluster = self._require_cluster()
         cfg = self.config
-        res = self._resolve_resilience(
-            resilience, fault_plan, recovery, checkpoint_interval
-        )
+        res = resilience if resilience is not None else cfg.resilience
+        assert res is not None  # config always populates the group
         plan = res.fault_plan
         dyn = self.resolve_strategy(strategy) if changes else None
         injector = None
@@ -757,9 +705,6 @@ def closeness(
     config: Optional[AnytimeConfig] = None,
     budget_modeled_seconds: Optional[float] = None,
     resilience: Optional[ResilienceConfig] = None,
-    fault_plan: Optional["FaultPlan"] = None,
-    recovery: Optional[str] = None,
-    checkpoint_interval: Optional[int] = None,
 ) -> RunResult:
     """One-shot closeness: a :func:`repro.session` opened for one run.
 
@@ -787,9 +732,7 @@ def closeness(
     Pass ``config`` for full control (it supplies ``nprocs``; passing
     both with conflicting values is an error).  Keep a session open
     instead when you need incremental feeds, anytime reads, or live
-    signals.  The flat ``fault_plan`` / ``recovery`` /
-    ``checkpoint_interval`` kwargs are deprecated shims for
-    ``resilience`` (one-release migration).
+    signals.
     """
     from ..serve.session import session
 
@@ -800,32 +743,6 @@ def closeness(
             f"conflicting nprocs: argument {nprocs} vs config"
             f" {config.nprocs}"
         )
-    # fold the legacy flat kwargs here so the DeprecationWarning points
-    # at the caller of closeness(), not at the session facade
-    legacy = {
-        name: value
-        for name, value in (
-            ("fault_plan", fault_plan),
-            ("recovery", recovery),
-            ("checkpoint_interval", checkpoint_interval),
-        )
-        if value is not None
-    }
-    if legacy:
-        warnings.warn(
-            f"closeness({', '.join(sorted(legacy))}=...) is deprecated;"
-            " pass resilience=ResilienceConfig(...) instead (the flat"
-            " kwargs will be removed next release)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        base = resilience if resilience is not None else config.resilience
-        assert base is not None
-        resilience = dataclasses.replace(base, **legacy)
-        if resilience.fault_plan is None:
-            raise ConfigurationError(
-                "recovery/checkpoint_interval only apply with a fault_plan"
-            )
     # session context: backend resources (process-pool shm segments) are
     # released and exporters flushed even when the run raises mid-phase
     with session(graph, config) as s:

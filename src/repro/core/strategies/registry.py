@@ -19,7 +19,7 @@ A factory receives the engine's :class:`~repro.core.config.AnytimeConfig`
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, TypeVar, overload
 
 from ...errors import ConfigurationError
 from .adaptive import AdaptiveStrategy, CompositeStrategy
@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import AnytimeConfig
 
 __all__ = [
+    "Registry",
     "STRATEGIES",
     "StrategyFactory",
     "register",
@@ -54,93 +55,92 @@ __all__ = [
     "make_policy",
 ]
 
+T = TypeVar("T")
+
+#: A factory building a fresh ``T`` from the engine configuration.
+Factory = Callable[["AnytimeConfig"], T]
+
+
+class Registry(Dict[str, Factory[T]]):
+    """Name -> factory table with a duplicate-name guard.
+
+    ``kind`` / ``plural`` name the entries in error messages
+    (``"strategy"`` / ``"strategies"``).
+    """
+
+    def __init__(self, kind: str, plural: str) -> None:
+        super().__init__()
+        self.kind = kind
+        self.plural = plural
+
+    @overload
+    def register(
+        self, name: str, factory: None = None, *, overwrite: bool = False
+    ) -> Callable[[Factory[T]], Factory[T]]:
+        ...
+
+    @overload
+    def register(
+        self, name: str, factory: Factory[T], *, overwrite: bool = False
+    ) -> Factory[T]:
+        ...
+
+    def register(
+        self,
+        name: str,
+        factory: Optional[Factory[T]] = None,
+        *,
+        overwrite: bool = False,
+    ) -> Callable[..., object]:
+        """Register ``factory`` under ``name``; usable as a decorator.
+
+        Called with a factory it returns that factory, exactly like the
+        decorator form.  Re-registering an existing name raises
+        :class:`~repro.errors.ConfigurationError` unless
+        ``overwrite=True`` — silently shadowing a built-in is almost
+        always a bug.
+        """
+
+        def _add(fn: Factory[T]) -> Factory[T]:
+            if not overwrite and name in self:
+                raise ConfigurationError(
+                    f"{self.kind} {name!r} is already registered"
+                    " (pass overwrite=True to replace it)"
+                )
+            self[name] = fn
+            return fn
+
+        if factory is not None:
+            return _add(factory)
+        return _add
+
+    def make(self, name: str, config: "AnytimeConfig") -> T:
+        """Build the registered entry ``name`` for ``config``."""
+        factory = self.get(name)
+        if factory is None:
+            raise ConfigurationError(
+                f"unknown {self.kind} {name!r}; registered {self.plural}:"
+                f" {sorted(self)}"
+            )
+        return factory(config)
+
+
 #: A factory building a fresh strategy from the engine configuration.
-StrategyFactory = Callable[["AnytimeConfig"], DynamicStrategy]
+StrategyFactory = Factory[DynamicStrategy]
 
 #: Name -> factory table the engine resolves strategy strings against.
-STRATEGIES: Dict[str, StrategyFactory] = {}
+STRATEGIES: Registry[DynamicStrategy] = Registry("strategy", "strategies")
+register = STRATEGIES.register
+make_strategy = STRATEGIES.make
 
 #: A factory building a fresh strategy policy from the configuration.
-PolicyFactory = Callable[["AnytimeConfig"], StrategyPolicy]
+PolicyFactory = Factory[StrategyPolicy]
 
-#: Name -> factory table ``strategy="auto"`` resolves policies against.
-POLICIES: Dict[str, PolicyFactory] = {}
-
-
-def register(
-    name: str,
-    factory: Optional[StrategyFactory] = None,
-    *,
-    overwrite: bool = False,
-) -> Callable[[StrategyFactory], StrategyFactory]:
-    """Register ``factory`` under ``name``; usable as a decorator.
-
-    Re-registering an existing name raises
-    :class:`~repro.errors.ConfigurationError` unless ``overwrite=True`` —
-    silently shadowing a built-in is almost always a bug.
-    """
-
-    def _add(fn: StrategyFactory) -> StrategyFactory:
-        if not overwrite and name in STRATEGIES:
-            raise ConfigurationError(
-                f"strategy {name!r} is already registered"
-                " (pass overwrite=True to replace it)"
-            )
-        STRATEGIES[name] = fn
-        return fn
-
-    if factory is not None:
-        _add(factory)
-    return _add
-
-
-def make_strategy(name: str, config: "AnytimeConfig") -> DynamicStrategy:
-    """Build the registered strategy ``name`` for ``config``."""
-    factory = STRATEGIES.get(name)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown strategy {name!r}; registered strategies:"
-            f" {sorted(STRATEGIES)}"
-        )
-    return factory(config)
-
-
-def register_policy(
-    name: str,
-    factory: Optional[PolicyFactory] = None,
-    *,
-    overwrite: bool = False,
-) -> Callable[[PolicyFactory], PolicyFactory]:
-    """Register a strategy-policy factory; usable as a decorator.
-
-    Policies live in their own namespace next to :data:`STRATEGIES`;
-    ``strategy="auto"`` resolves ``config.strategy_policy`` against this
-    table.  Same duplicate-name discipline as :func:`register`.
-    """
-
-    def _add(fn: PolicyFactory) -> PolicyFactory:
-        if not overwrite and name in POLICIES:
-            raise ConfigurationError(
-                f"policy {name!r} is already registered"
-                " (pass overwrite=True to replace it)"
-            )
-        POLICIES[name] = fn
-        return fn
-
-    if factory is not None:
-        _add(factory)
-    return _add
-
-
-def make_policy(name: str, config: "AnytimeConfig") -> StrategyPolicy:
-    """Build the registered strategy policy ``name`` for ``config``."""
-    factory = POLICIES.get(name)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown strategy policy {name!r}; registered policies:"
-            f" {sorted(POLICIES)}"
-        )
-    return factory(config)
+#: Name -> factory table ``strategy="auto"`` resolves policies against;
+#: its own namespace next to :data:`STRATEGIES`.
+POLICIES: Registry[StrategyPolicy] = Registry("strategy policy", "policies")
+register_policy = POLICIES.register
+make_policy = POLICIES.make
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,15 @@ coordinating process, which runs the exchanges, modeled clock, chaos
 injection and checkpointing unchanged.
 
 Determinism: the children execute the exact kernel functions the serial
-backend runs, one rank per task, and the coordinator merges outcomes via
+backend runs, and the coordinator merges outcomes via
 ``Worker.ia_apply`` / ``Worker.superstep_apply`` in rank order — the
 same statements in the same order as serial, hence bitwise-identical
-results, traces and modeled clocks.
+results, traces and modeled clocks.  The one scheduling difference is
+IA: each rank's Dijkstra is split into source chunks
+(:func:`~repro.runtime.kernels.ia_chunks`) that fan out across the whole
+pool.  Dijkstra computes each source independently and source ``s``
+folds only row ``s`` of ``dv`` / ``local_apsp``, so the chunks write
+disjoint rows and compose bitwise to the whole-rank kernel.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from ..kernels import (
     IATask,
     SuperstepResult,
     SuperstepTask,
-    ia_kernel,
-    make_tier,
+    ia_chunk_kernel,
+    ia_chunks,
     run_superstep,
 )
 from ..shm import (
@@ -74,12 +79,6 @@ def _attached(desc: ShmDescriptor) -> FloatArray:
     return arr
 
 
-def _child_ia(
-    dv_desc: ShmDescriptor, apsp_desc: ShmDescriptor, task: IATask
-) -> None:
-    ia_kernel(task, _attached(dv_desc), _attached(apsp_desc))
-
-
 def _child_ia_chunk(
     dv_desc: ShmDescriptor,
     apsp_desc: ShmDescriptor,
@@ -87,14 +86,12 @@ def _child_ia_chunk(
     lo: int,
     hi: int,
 ) -> None:
-    """One source-chunk of a rank's IA task (tiers with chunked IA).
+    """One source-chunk of a rank's IA task.
 
     Chunks of the same task write disjoint ``[lo, hi)`` row ranges of
     both shared matrices, so any number of them may run concurrently.
     """
-    make_tier(task.tier).ia_chunk_kernel(
-        task, lo, hi, _attached(dv_desc), _attached(apsp_desc)
-    )
+    ia_chunk_kernel(task, lo, hi, _attached(dv_desc), _attached(apsp_desc))
 
 
 def _child_superstep(
@@ -174,25 +171,16 @@ class ProcessBackend(ExecutionBackend):
                 futures.append([])
                 continue
             dv_desc, apsp_desc = self._descriptors(w)
-            chunks = make_tier(task.tier).ia_chunks(task, slots)
-            if len(chunks) == 1:
-                # whole-rank task: the pre-tier fast path, one future
-                futures.append(
-                    [pool.submit(_child_ia, dv_desc, apsp_desc, task)]
-                )
-            else:
-                # source-parallel IA: one rank's Dijkstra fans out across
-                # the whole pool (chunks write disjoint rows, see
-                # _child_ia_chunk), lifting the speedup cap beyond the
-                # rank count
-                futures.append(
-                    [
-                        pool.submit(
-                            _child_ia_chunk, dv_desc, apsp_desc, task, lo, hi
-                        )
-                        for lo, hi in chunks
-                    ]
-                )
+            # source-parallel IA: one rank's Dijkstra fans out across the
+            # whole pool (small ranks stay a single chunk, one future)
+            futures.append(
+                [
+                    pool.submit(
+                        _child_ia_chunk, dv_desc, apsp_desc, task, lo, hi
+                    )
+                    for lo, hi in ia_chunks(task, slots)
+                ]
+            )
         for w, task, futs in zip(workers, tasks, futures):
             for fut in futs:
                 fut.result()

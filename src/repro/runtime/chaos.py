@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..types import Rank
+from ..types import RECOVERY_POLICIES, Rank
 
 __all__ = [
     "RECOVERY_POLICIES",
@@ -42,12 +42,6 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
 ]
-
-#: The recovery policies the supervisor implements (kept here so that
-#: configuration validation does not need to import the supervisor).
-#: ``escalate`` climbs the ladder warm -> checkpoint -> redistribute
-#: per rank and degrades gracefully once health budgets are exhausted.
-RECOVERY_POLICIES = ("warm", "checkpoint", "redistribute", "escalate")
 
 
 @dataclass(frozen=True)

@@ -1,99 +1,50 @@
-"""Tiered compute kernels shared by the serial and process backends.
+"""Compute kernels shared by the serial and process backends.
 
 The heavy per-rank work of the two parallelizable phases — the IA-phase
 local Dijkstra and the RC-step superstep (cut-edge relaxation + local
-min-plus propagation) — is factored into *kernel tiers*: pluggable
-implementations selected via ``AnytimeConfig.kernel_tier`` /
-``$REPRO_KERNEL_TIER`` / ``--kernel-tier`` and registered in
-:data:`KERNEL_TIERS` (mirroring ``STRATEGIES`` / ``POLICIES``):
-
-``numpy``
-    the original NumPy/SciPy statements (:mod:`.oracle`), kept as the
-    bitwise oracle every other tier is pinned against;
-``scipy``
-    the same arithmetic with source-chunked IA
-    (``csgraph.dijkstra(indices=...)``), so one rank's all-pairs
-    Dijkstra fans out across the whole process pool;
-``numba``
-    optional ``@njit``-compiled kernels (``pip install repro[numba]``),
-    auto-falling back to ``scipy`` behavior when numba is absent.
-
-Kernels touch only a picklable *task* (built by the worker in the
-coordinating process) and the worker's two large matrices ``dv`` /
-``local_apsp``, passed in explicitly so a subprocess can supply
-shared-memory views.  Everything stateful (change tracking, subscriber
-queues, modeled LogP charges, counters) stays in
+min-plus propagation) — lives in :mod:`.oracle` as plain module
+functions.  Kernels touch only a picklable *task* (:mod:`.tasks`, built
+by the worker in the coordinating process) and the worker's two large
+matrices ``dv`` / ``local_apsp``, passed in explicitly so a subprocess
+can supply shared-memory views.  Everything stateful (change tracking,
+subscriber queues, modeled LogP charges, counters) stays in
 :class:`~repro.runtime.worker.Worker`, which splits each phase into
 *prepare* (build the task), *kernel* (this package, runnable anywhere),
 and *apply* (charges + bookkeeping).  Charges are computed from task
 shape only, which is what keeps the modeled clock, traces and fault
-accounting invariant across tiers.
-
-The module-level :func:`ia_kernel` / :func:`run_superstep` dispatch on
-the task's ``tier`` name (the process-pool entry points);
-:func:`relax_cut_kernel` / :func:`minplus_fold` re-export the oracle
-implementations for direct use and tests.
+accounting invariant across backends.
 """
 
 from __future__ import annotations
 
-from ...types import FloatArray
-from .base import (
+from .oracle import (
+    ia_chunk_kernel,
+    ia_chunks,
+    ia_kernel,
+    minplus_fold,
+    relax_cut_kernel,
+    run_superstep,
+)
+from .tasks import (
     ChunkList,
     IATask,
     IndexArray,
-    KernelTier,
     RelaxItems,
     SuperstepResult,
     SuperstepTask,
 )
-from .oracle import ia_chunk_kernel, minplus_fold, relax_cut_kernel
-from .registry import (
-    KERNEL_TIERS,
-    TierSpec,
-    available_tiers,
-    make_tier,
-    register_tier,
-)
-
-# importing the tier modules registers them (in tier order)
-from .numpy_tier import NumpyTier
-from .scipy_tier import ScipyTier
-from .numba_tier import HAS_NUMBA, NUMBA_CLOSENESS_RTOL, NumbaTier
 
 __all__ = [
     "ChunkList",
-    "HAS_NUMBA",
     "IATask",
     "IndexArray",
-    "KERNEL_TIERS",
-    "KernelTier",
-    "NUMBA_CLOSENESS_RTOL",
-    "NumbaTier",
-    "NumpyTier",
     "RelaxItems",
-    "ScipyTier",
     "SuperstepResult",
     "SuperstepTask",
-    "TierSpec",
-    "available_tiers",
     "ia_chunk_kernel",
+    "ia_chunks",
     "ia_kernel",
-    "make_tier",
     "minplus_fold",
-    "register_tier",
     "relax_cut_kernel",
     "run_superstep",
 ]
-
-
-def ia_kernel(task: IATask, dv: FloatArray, apsp: FloatArray) -> None:
-    """Run one full IA task under the tier named by ``task.tier``."""
-    make_tier(task.tier).ia_kernel(task, dv, apsp)
-
-
-def run_superstep(
-    task: SuperstepTask, dv: FloatArray, apsp: FloatArray
-) -> SuperstepResult:
-    """Run one RC superstep under the tier named by ``task.tier``."""
-    return make_tier(task.tier).run_superstep(task, dv, apsp)

@@ -1,10 +1,12 @@
-"""The pure NumPy/SciPy kernel statements — the bitwise oracle.
+"""The per-rank compute kernels, as plain NumPy/SciPy module functions.
 
-These are the original single-implementation kernels, kept as plain
-module functions: every other tier is measured against them, and the
-``numpy`` tier runs them verbatim.  The serial backend, the process
-backend and every tier/backend combination must produce results
-bitwise-identical to these statements executed in serial order.
+The serial backend runs these statements in the coordinating process;
+the process backend runs the very same functions in pool children
+against shared-memory views of ``dv`` / ``local_apsp``.  The only
+scheduling difference is that the process backend splits one rank's IA
+into source chunks (:func:`ia_chunks`), which compose bitwise to the
+whole-rank :func:`ia_kernel` (see :func:`ia_chunk_kernel`), so both
+backends produce identical results.
 """
 
 from __future__ import annotations
@@ -15,13 +17,22 @@ import numpy as np
 import scipy.sparse.csgraph as csgraph
 
 from ...types import BoolArray, FloatArray
-from .base import IATask, IndexArray, RelaxItems
+from .tasks import (
+    ChunkList,
+    IATask,
+    IndexArray,
+    RelaxItems,
+    SuperstepResult,
+    SuperstepTask,
+)
 
 __all__ = [
     "ia_kernel",
     "ia_chunk_kernel",
+    "ia_chunks",
     "relax_cut_kernel",
     "minplus_fold",
+    "run_superstep",
 ]
 
 #: Cap on the float64 element count of the batched min-plus broadcast
@@ -30,6 +41,14 @@ _MINPLUS_BLOCK_ELEMS = 1 << 21
 
 #: Max sources folded per ``np.minimum`` call in the batched kernel.
 _MINPLUS_MAX_BLOCK = 64
+
+#: Target IA chunks per pool slot: enough to load-balance uneven ranks
+#: without drowning the pool in per-task overhead.
+_CHUNKS_PER_SLOT = 4
+
+#: Minimum sources per IA chunk; below this the submit/pickle overhead
+#: dominates the Dijkstra work.
+_MIN_CHUNK = 64
 
 
 def ia_kernel(task: IATask, dv: FloatArray, apsp: FloatArray) -> None:
@@ -62,6 +81,21 @@ def ia_chunk_kernel(
     )
     cols = task.cols
     dv[lo:hi, cols] = np.minimum(dv[lo:hi, cols], apsp[lo:hi, :])
+
+
+def ia_chunks(task: IATask, parallelism: int) -> ChunkList:
+    """Split ``task``'s sources into ``[lo, hi)`` chunks for the pool.
+
+    ``parallelism`` is the number of pool slots.  Small tasks stay one
+    chunk ``[(0, n)]``; larger ones split into about
+    ``_CHUNKS_PER_SLOT`` chunks per slot of at least ``_MIN_CHUNK``
+    sources each, so one rank's Dijkstra can fan out across the pool.
+    """
+    n = task.n
+    size = max(_MIN_CHUNK, -(-n // max(1, parallelism * _CHUNKS_PER_SLOT)))
+    if size >= n:
+        return [(0, n)]
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def relax_cut_kernel(
@@ -135,3 +169,35 @@ def minplus_fold(
     r_idx, c_idx = np.nonzero(improved)
     dv[r_idx, cols[c_idx]] = cand[improved]
     return [int(r) for r in np.flatnonzero(improved.any(axis=1))]
+
+
+def run_superstep(
+    task: SuperstepTask, dv: FloatArray, apsp: FloatArray
+) -> SuperstepResult:
+    """One rank's full RC superstep: relaxation then propagation.
+
+    Mirrors the serial ``relax_cut_edges`` + ``propagate_local`` pair
+    decision-for-decision; the only difference is that change-tracking
+    state arrives snapshotted inside ``task`` and the outcomes travel
+    back in a :class:`SuperstepResult` instead of mutating the worker.
+    """
+    dirty = task.dirty_cols
+    relax_improved = relax_cut_kernel(dv, dirty, task.relax_items)
+    n = task.n
+    if n == 0:
+        return SuperstepResult(relax_improved=relax_improved)
+    if task.full_repropagate:
+        rows = list(range(n))
+        col_mask = np.ones(task.n_cols, dtype=bool)
+    else:
+        rows = sorted(set(task.changed_rows) | set(relax_improved))
+        col_mask = dirty
+    if not rows or not col_mask.any():
+        return SuperstepResult(relax_improved=relax_improved)
+    cols = np.flatnonzero(col_mask)
+    prop_improved = minplus_fold(apsp, dv, rows, cols)
+    return SuperstepResult(
+        relax_improved=relax_improved,
+        prop_charged=True,
+        prop_improved=prop_improved,
+    )

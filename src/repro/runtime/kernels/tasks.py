@@ -1,0 +1,91 @@
+"""Task shapes of the per-rank kernels.
+
+The per-rank compute of the two parallelizable phases travels as
+picklable *task* dataclasses (built by the worker in the coordinating
+process) plus the worker's two large matrices ``dv`` / ``local_apsp``,
+passed in explicitly so a subprocess can supply shared-memory views.
+The modeled charges are computed from task *shape* only (``n``,
+``nnz``), in the worker's ``*_apply`` methods, so they cannot depend on
+where or how the arithmetic was scheduled.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, List, Tuple
+
+import numpy as np
+from numpy.typing import NDArray
+
+from ...types import BoolArray, FloatArray
+
+#: DV column indices as produced by ``np.flatnonzero`` / index building.
+IndexArray = NDArray[np.intp]
+
+#: Cut-edge relaxation inputs: per fresh external row, the received DV
+#: row and the ``(local row, edge weight)`` pairs relaxed against it.
+RelaxItems = List[Tuple[FloatArray, List[Tuple[int, float]]]]
+
+#: Half-open ``[lo, hi)`` source ranges one rank's IA splits into.
+ChunkList = List[Tuple[int, int]]
+
+__all__ = [
+    "ChunkList",
+    "IATask",
+    "IndexArray",
+    "RelaxItems",
+    "SuperstepResult",
+    "SuperstepTask",
+]
+
+
+@dataclass
+class IATask:
+    """One rank's IA-phase work: local APSP + fold into owned DV columns."""
+
+    #: local adjacency in CSR form (scipy matrix; picklable)
+    matrix: Any
+    #: global DV column of each owned vertex, in row order
+    cols: IndexArray
+    #: number of owned vertices (== rows of ``local_apsp``)
+    n: int
+    #: directed stored-edge count of ``matrix`` (for the modeled charge)
+    nnz: int
+
+
+@dataclass
+class SuperstepTask:
+    """One rank's RC-superstep work (relaxation inputs + fold extent)."""
+
+    n: int
+    n_cols: int
+    #: per fresh external row, in relaxation order: the received DV row
+    #: and the ``(local row, cut-edge weight)`` pairs relaxed against it
+    relax_items: RelaxItems
+    #: rows already marked changed before this superstep, sorted
+    changed_rows: List[int]
+    #: private copy of the dirty-column mask (the kernel extends it with
+    #: the columns the relaxation improves)
+    dirty_cols: BoolArray
+    full_repropagate: bool
+
+    @property
+    def n_relaxations(self) -> int:
+        return sum(len(pairs) for _row, pairs in self.relax_items)
+
+
+@dataclass
+class SuperstepResult:
+    """What the coordinating process needs back from a superstep kernel."""
+
+    #: local rows the cut-edge relaxation improved, sorted
+    relax_improved: List[int] = field(default_factory=list)
+    #: True iff the propagation fold ran (and its compute must be charged)
+    prop_charged: bool = False
+    #: local rows the propagation fold improved, sorted
+    prop_improved: List[int] = field(default_factory=list)
+
+    @property
+    def improved(self) -> bool:
+        return bool(self.relax_improved) or bool(self.prop_improved)
+

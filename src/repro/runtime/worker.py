@@ -33,11 +33,12 @@ from ..types import FloatArray, IntArray, Rank, VertexId
 from .index import GlobalIndex
 from .kernels import (
     IATask,
-    KernelTier,
     RelaxItems,
     SuperstepResult,
     SuperstepTask,
-    make_tier,
+    ia_kernel,
+    minplus_fold,
+    relax_cut_kernel,
 )
 from .message import DeltaRows, delta_row_words, dense_row_words
 from .shm import ArrayAllocator
@@ -57,13 +58,9 @@ class Worker:
         *,
         wire_format: str = "delta",
         allocator: Optional[ArrayAllocator] = None,
-        tier: Optional[KernelTier] = None,
     ) -> None:
         if wire_format not in ("dense", "delta"):
             raise WorkerError(f"unknown wire format {wire_format!r}")
-        #: kernel tier executing this worker's compute (see
-        #: :mod:`repro.runtime.kernels`); the oracle tier by default
-        self.tier = tier if tier is not None else make_tier("numpy")
         #: where ``dv`` / ``local_apsp`` live; the process backend passes
         #: a shared-memory allocator so kernel subprocesses can attach
         self.allocator = allocator if allocator is not None else ArrayAllocator()
@@ -284,7 +281,7 @@ class Worker:
         task = self.ia_prepare()
         if task is None:
             return
-        self.tier.ia_kernel(task, self.dv, self.local_apsp)
+        ia_kernel(task, self.dv, self.local_apsp)
         self.ia_apply(task, repropagate=repropagate)
 
     def ia_prepare(self) -> Optional[IATask]:
@@ -308,7 +305,6 @@ class Worker:
             cols=cols,
             n=n,
             nnz=int(view.matrix.nnz),
-            tier=self.tier.name,
         )
 
     def ia_apply(self, task: IATask, *, repropagate: bool = False) -> None:
@@ -629,7 +625,7 @@ class Worker:
         ``(u, x)`` whose external row arrived since the last call.
         """
         items = self._relax_items()
-        improved = self.tier.relax_cut(self.dv, self._dirty_cols, items)
+        improved = relax_cut_kernel(self.dv, self._dirty_cols, items)
         for _row_x, pairs in items:
             for _ in pairs:
                 self._charge(self.cost.relax_time(self.n_cols))
@@ -674,9 +670,7 @@ class Worker:
         # optimization (sources that did not change cannot improve anything
         # through a transitively-closed local APSP).
         self._charge(self.cost.minplus_time(n, n, self.n_cols))
-        improved_rows = self.tier.minplus_fold(
-            self.local_apsp, self.dv, rows, cols
-        )
+        improved_rows = minplus_fold(self.local_apsp, self.dv, rows, cols)
         self._changed_rows.clear()
         self._dirty_cols[:] = False
         # Improved rows need only be *sent* to subscribers, not re-used as
@@ -704,7 +698,6 @@ class Worker:
             changed_rows=sorted(self._changed_rows),
             dirty_cols=self._dirty_cols.copy(),
             full_repropagate=self._full_repropagate,
-            tier=self.tier.name,
         )
 
     def peek_superstep_task(self) -> SuperstepTask:
@@ -726,7 +719,6 @@ class Worker:
             changed_rows=sorted(self._changed_rows),
             dirty_cols=self._dirty_cols.copy(),
             full_repropagate=self._full_repropagate,
-            tier=self.tier.name,
         )
 
     def superstep_apply(

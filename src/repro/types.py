@@ -42,6 +42,12 @@ BoolArray = NDArray[np.bool_]
 #: Sentinel for "no path known yet".
 INF = float("inf")
 
+#: The crash-recovery policies the supervisor implements; shared by
+#: ``ResilienceConfig`` validation and the runtime.  ``escalate`` climbs
+#: the ladder warm -> checkpoint -> redistribute per rank and degrades
+#: gracefully once health budgets are exhausted.
+RECOVERY_POLICIES = ("warm", "checkpoint", "redistribute", "escalate")
+
 
 def as_vertex_list(vertices: Iterable[VertexId]) -> List[VertexId]:
     """Normalize an iterable of vertex ids to a sorted, duplicate-free list."""

@@ -108,6 +108,18 @@ class TestStrategyRegistry:
         finally:
             STRATEGIES.pop("_test_strategy", None)
 
+    def test_register_direct_call_returns_factory(self):
+        """The call form returns the factory, like the decorator form."""
+
+        def _factory(config):
+            return RepartitionStrategy(config.partitioner)
+
+        try:
+            assert register("_test_direct_strategy", _factory) is _factory
+            assert STRATEGIES["_test_direct_strategy"] is _factory
+        finally:
+            STRATEGIES.pop("_test_direct_strategy", None)
+
     def test_engine_resolves_custom_registration(self):
         @register("_test_engine_strategy")
         def _factory(config):

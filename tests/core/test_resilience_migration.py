@@ -1,8 +1,7 @@
-"""ResilienceConfig consolidation + deprecation shims (one-release window)."""
+"""ResilienceConfig: the one way to set the fault-tolerance knobs."""
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 
 import pytest
@@ -37,68 +36,20 @@ class TestResilienceConfig:
     def test_config_always_populates_the_group(self):
         cfg = AnytimeConfig(nprocs=4)
         assert cfg.resilience == ResilienceConfig()
-        # mirrored legacy fields reflect the group
-        assert cfg.recovery == "warm"
-        assert cfg.checkpoint_interval == 8
 
     def test_group_flows_through(self):
         res = ResilienceConfig(recovery="escalate", checkpoint_interval=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cfg = AnytimeConfig(nprocs=4, resilience=res)
+        cfg = AnytimeConfig(nprocs=4, resilience=res)
         assert cfg.resilience is res
-        assert cfg.recovery == "escalate"
-        assert cfg.checkpoint_interval == 3
 
 
-class TestLegacyConfigKwargs:
-    def test_legacy_kwargs_warn_and_fold_into_group(self):
-        with pytest.warns(DeprecationWarning, match="resilience"):
-            cfg = AnytimeConfig(
-                nprocs=4, recovery="checkpoint", checkpoint_interval=5
-            )
-        assert cfg.resilience == ResilienceConfig(
-            recovery="checkpoint", checkpoint_interval=5
-        )
-
-    def test_conflicting_legacy_and_group_raise(self):
-        with pytest.raises(ConfigurationError, match="recovery"):
-            AnytimeConfig(
-                nprocs=4,
-                recovery="warm",
-                resilience=ResilienceConfig(recovery="escalate"),
-            )
-
-    def test_matching_legacy_and_group_pass_silently(self):
-        """dataclasses.replace() round-trips re-pass the mirrored legacy
-        fields; values matching the group must not warn or raise."""
-        with pytest.warns(DeprecationWarning):
-            cfg = AnytimeConfig(nprocs=4, recovery="checkpoint")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            clone = dataclasses.replace(cfg)
-        assert clone.resilience == cfg.resilience
-
-    def test_legacy_recovery_still_validated(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                AnytimeConfig(nprocs=4, recovery="nonsense")
-
-
-class TestLegacyRunKwargs:
+class TestRunResilienceOverride:
     def _engine(self):
         eng = AnytimeAnywhereCloseness(
             _graph(), AnytimeConfig(nprocs=3, collect_snapshots=False)
         )
         eng.setup()
         return eng
-
-    def test_run_fault_plan_kwarg_warns_but_works(self):
-        eng = self._engine()
-        plan = FaultPlan(seed=0, loss_prob=0.05)
-        with pytest.warns(DeprecationWarning, match="fault_plan"):
-            result = eng.run(fault_plan=plan)
-        assert result.converged
 
     def test_run_resilience_group_does_not_warn(self):
         eng = self._engine()
@@ -107,24 +58,3 @@ class TestLegacyRunKwargs:
             warnings.simplefilter("error", DeprecationWarning)
             result = eng.run(resilience=ResilienceConfig(fault_plan=plan))
         assert result.converged
-
-    def test_legacy_and_group_runs_are_bitwise_identical(self):
-        plan = FaultPlan(seed=3, loss_prob=0.1, dup_prob=0.05)
-        eng1, eng2 = self._engine(), self._engine()
-        with pytest.warns(DeprecationWarning):
-            legacy = eng1.run(fault_plan=plan, recovery="warm")
-        grouped = eng2.run(
-            resilience=ResilienceConfig(recovery="warm", fault_plan=plan)
-        )
-        assert legacy.closeness == grouped.closeness
-        assert legacy.modeled_seconds == grouped.modeled_seconds
-        assert legacy.fault_events == grouped.fault_events
-
-    def test_recovery_without_fault_plan_still_raises(self):
-        eng = self._engine()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="fault_plan"):
-                eng.run(recovery="warm")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="fault_plan"):
-                eng.run(checkpoint_interval=4)

@@ -46,7 +46,7 @@ class TestJSONL:
     def test_export_validates_against_schema(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         run_scenario("dynamic", observers=(f"jsonl:{path}",))
-        errors = validate_trace.validate_trace_file(path)
+        errors = validate_trace.validate_file(path, "trace_event")
         assert errors == []
 
     def test_chaos_export_validates_against_schema(self, tmp_path):
@@ -54,7 +54,7 @@ class TestJSONL:
         run_scenario(
             "chaos", observers=(f"jsonl:{path}", "convergence")
         )
-        errors = validate_trace.validate_trace_file(path)
+        errors = validate_trace.validate_file(path, "trace_event")
         assert errors == []
 
     def test_validator_flags_bad_events(self, tmp_path):
@@ -66,7 +66,7 @@ class TestJSONL:
             "not json\n",
             encoding="utf-8",
         )
-        errors = validate_trace.validate_trace_file(bad)
+        errors = validate_trace.validate_file(bad, "trace_event")
         assert any("below minimum" in e for e in errors)
         assert any("not in enum" in e for e in errors)
         assert any("expected type string" in e for e in errors)

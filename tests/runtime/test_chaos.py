@@ -201,15 +201,6 @@ class TestLossyExchange:
 
 
 class TestEngineIntegration:
-    def test_recovery_without_plan_rejected(self):
-        _g, engine = fresh_engine()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                engine.run(recovery="warm")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                engine.run(checkpoint_interval=4)
-
     def test_attach_requires_matching_nprocs(self):
         _g, engine = fresh_engine(nprocs=4)
         inj = FaultInjector(FaultPlan(), nprocs=3)

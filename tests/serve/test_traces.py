@@ -82,9 +82,8 @@ def test_jsonl_roundtrip_identity(tmp_path):
 
 def test_jsonl_file_validates_against_schema(tmp_path):
     import validate_trace
-    from validate_change_trace import DEFAULT_SCHEMA
 
     trace = synthesize_churn("steady-small", n_base=40, ticks=8, seed=2)
     path = tmp_path / "trace.jsonl"
     save_change_trace(path, trace.events)
-    assert validate_trace.validate_trace_file(path, DEFAULT_SCHEMA) == []
+    assert validate_trace.validate_file(path, "change_trace") == []

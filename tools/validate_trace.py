@@ -1,4 +1,4 @@
-"""Validate a repro.obs JSONL trace against the checked-in JSON Schema.
+"""Validate a JSON/JSONL file against one of the checked-in JSON Schemas.
 
 A dependency-free validator implementing exactly the JSON-Schema subset
 the checked-in schemas use — ``type`` (including union lists), ``enum``,
@@ -6,13 +6,29 @@ the checked-in schemas use — ``type`` (including union lists), ``enum``,
 (boolean or sub-schema), ``items`` (single-schema form), ``minItems`` /
 ``maxItems``, and ``oneOf``.  The container image
 pins its dependency set, so pulling in the ``jsonschema`` package is not
-an option; this keeps CI able to verify the export contract anyway.
+an option; this keeps CI able to verify the export contracts anyway.
+
+The schema is named on the command line, either by its stem in
+``tools/schemas/`` or by path:
+
+``trace_event``
+    ``repro.obs`` JSONL trace exports (``jsonl:PATH`` observers);
+``change_trace``
+    ``repro serve`` JSONL churn traces (``save_change_trace``);
+``bench_record``
+    ``benchmarks/history/*.jsonl`` ledgers (``tools/bench_history.py``);
+``slo_spec``
+    one whole JSON document (not JSONL), followed by a semantic pass
+    that constructs the specs through ``repro.obs.slo.specs_from_json``
+    (known fields, range bounds) when ``repro`` is importable.
+
+Every other schema validates its file line by line as JSONL.
 
 Usage (CI and tests)::
 
-    python tools/validate_trace.py TRACE.jsonl [SCHEMA.json]
+    python tools/validate_trace.py SCHEMA FILE
 
-Exit status 0 when every line validates, 1 otherwise (errors on stderr).
+Exit status 0 when the file validates, 1 otherwise (errors on stderr).
 """
 
 from __future__ import annotations
@@ -22,9 +38,9 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["validate", "validate_trace_file", "main"]
+__all__ = ["SCHEMA_DIR", "schema_path", "validate", "validate_file", "main"]
 
-DEFAULT_SCHEMA = Path(__file__).parent / "schemas" / "trace_event.schema.json"
+SCHEMA_DIR = Path(__file__).parent / "schemas"
 
 
 def _type_ok(value: Any, name: str) -> bool:
@@ -100,15 +116,38 @@ def validate(
                 yield from validate(value, extra, f"{path}.{key}")
 
 
-def validate_trace_file(
-    trace_path: Path, schema_path: Optional[Path] = None
-) -> List[str]:
-    """All violations in a JSONL trace file (empty list = valid)."""
-    schema = json.loads(
-        (schema_path or DEFAULT_SCHEMA).read_text(encoding="utf-8")
-    )
+def schema_path(schema: str) -> Path:
+    """A schema stem in ``tools/schemas/`` (``"trace_event"``) or a path."""
+    candidate = SCHEMA_DIR / f"{schema}.schema.json"
+    return candidate if candidate.exists() else Path(schema)
+
+
+def _slo_semantics(data: Any) -> List[str]:
+    """What the schema subset cannot express: the library loader decides."""
+    try:
+        from repro.obs.slo import specs_from_json
+    except ImportError:
+        return []
+    try:
+        specs_from_json(data)
+    except Exception as exc:
+        return [f"semantic: {exc}"]
+    return []
+
+
+def validate_file(path: Path, schema: str) -> List[str]:
+    """All violations of ``schema`` in ``path`` (empty list = valid)."""
+    spath = schema_path(schema)
+    schema_doc = json.loads(spath.read_text(encoding="utf-8"))
+    if spath.name.startswith("slo_spec."):
+        # one whole JSON document, not JSONL
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            return [f"invalid JSON ({exc})"]
+        return list(validate(data, schema_doc)) or _slo_semantics(data)
     errors: List[str] = []
-    with open(trace_path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -120,26 +159,22 @@ def validate_trace_file(
                 continue
             errors.extend(
                 f"line {lineno}: {msg}"
-                for msg in validate(event, schema)
+                for msg in validate(event, schema_doc)
             )
     return errors
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args: Tuple[str, ...] = tuple(sys.argv[1:] if argv is None else argv)
-    if not 1 <= len(args) <= 2:
-        print(
-            "usage: validate_trace.py TRACE.jsonl [SCHEMA.json]",
-            file=sys.stderr,
-        )
+    if len(args) != 2:
+        print("usage: validate_trace.py SCHEMA FILE", file=sys.stderr)
         return 2
-    trace = Path(args[0])
-    schema = Path(args[1]) if len(args) == 2 else None
-    errors = validate_trace_file(trace, schema)
+    schema, target = args[0], Path(args[1])
+    errors = validate_file(target, schema)
     for err in errors:
         print(err, file=sys.stderr)
     if not errors:
-        print(f"{trace}: OK")
+        print(f"{target}: OK")
     return 1 if errors else 0
 
 
