@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
 from repro.bench.workloads import incremental_stream
 from repro.graph import barabasi_albert
+from repro.obs.profile import fold_cluster
 
 RESULTS = Path(__file__).parent / "results" / "BENCH_backend_scaling.json"
 
@@ -63,19 +64,6 @@ SMOKE_DYNAMIC_N = 200
 
 def closeness_bits(closeness: Dict[int, float]) -> List[Tuple[int, bytes]]:
     return [(v, struct.pack("<d", closeness[v])) for v in sorted(closeness)]
-
-
-def phase_walls(engine: AnytimeAnywhereCloseness) -> Dict[str, float]:
-    """Wall seconds by tracer phase (IA vs RC vs everything else)."""
-    walls = {"ia": 0.0, "rc": 0.0, "other": 0.0}
-    for rec in engine.cluster.tracer.to_json()["records"]:
-        if rec["name"] == "initial_approximation":
-            walls["ia"] += rec["wall_seconds"]
-        elif rec["name"] == "rc_step":
-            walls["rc"] += rec["wall_seconds"]
-        else:
-            walls["other"] += rec["wall_seconds"]
-    return walls
 
 
 def run_case(
@@ -106,13 +94,16 @@ def run_case(
         closeness = result.closeness
         modeled = result.modeled_seconds
     wall = time.perf_counter() - t0
-    walls = phase_walls(engine)
+    walls = {
+        row["phase"]: row["wall_seconds"]
+        for row in fold_cluster(engine.cluster).phases
+    }
     engine.cluster.close()
     return {
         "backend": backend,
         "nprocs": nprocs,
-        "ia_wall_seconds": walls["ia"],
-        "rc_wall_seconds": walls["rc"],
+        "ia_wall_seconds": walls.get("initial_approximation", 0.0),
+        "rc_wall_seconds": walls.get("rc_step", 0.0),
         "total_wall_seconds": wall,
         "modeled_seconds": modeled,
         "bits": closeness_bits(closeness),

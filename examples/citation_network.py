@@ -16,7 +16,6 @@ Run:  python examples/citation_network.py
 
 from repro import AnytimeAnywhereCloseness, AnytimeConfig, ChangeBatch, ChangeStream
 from repro.centrality import exact_closeness
-from repro.core.strategies import AdaptiveStrategy, CutEdgePS, RepartitionStrategy
 from repro.graph import barabasi_albert, batch_from_subgraph, induced_subgraph
 from repro.graph.changes import EdgeDeletion, VertexDeletion
 
@@ -52,20 +51,19 @@ def main() -> None:
     )
 
     # --- run with the adaptive strategy ---------------------------------
-    engine = AnytimeAnywhereCloseness(base, AnytimeConfig(nprocs=8, seed=23))
-    engine.setup()
-    adaptive = AdaptiveStrategy(
-        CutEdgePS(), RepartitionStrategy(), threshold=0.10
+    # batches above 10% of |V| repartition; smaller ones (and the
+    # deletions) go through anywhere vertex addition with CutEdge-PS
+    engine = AnytimeAnywhereCloseness(
+        base, AnytimeConfig(nprocs=8, seed=23, repartition_threshold=0.10)
     )
-    from repro.core.strategies import CompositeStrategy
-
-    # route growth through the adaptive chooser, deletions through the
-    # deletion strategies
-    strategy = CompositeStrategy(adaptive)
-    result = engine.run(changes=stream, strategy=strategy)
+    engine.setup()
+    # resolve the name once to keep the instance and its decision trace
+    adaptive = engine.resolve_strategy("adaptive")
+    result = engine.run(changes=stream, strategy=adaptive)
     print(f"absorbed {stream.total_events()} events in {result.rc_steps}"
-          f" RC steps; adaptive chose {adaptive.last_choice!r} for the"
-          f" final growth batch")
+          f" RC steps; adaptive chose, per batch:")
+    for decision in adaptive.decisions:
+        print(f"  {decision.line()}")
 
     # --- validate --------------------------------------------------------
     final = base.copy()

@@ -5,11 +5,9 @@ from .engine import AnytimeAnywhereCloseness, RunResult
 from .recombination import run_recombination
 from .snapshots import AnytimeSnapshot, take_snapshot
 from .strategies import (
-    AdaptiveStrategy,
     CompositeStrategy,
     CutEdgePS,
     DynamicStrategy,
-    EdgeAdditionStrategy,
     EdgeDeletionStrategy,
     LeastLoadedPS,
     NeighborMajorityPS,
@@ -34,10 +32,8 @@ __all__ = [
     "LeastLoadedPS",
     "NeighborMajorityPS",
     "VertexAdditionStrategy",
-    "EdgeAdditionStrategy",
     "EdgeDeletionStrategy",
     "VertexDeletionStrategy",
     "RepartitionStrategy",
-    "AdaptiveStrategy",
     "CompositeStrategy",
 ]

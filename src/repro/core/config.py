@@ -85,11 +85,6 @@ class AnytimeConfig:
         Record an anytime snapshot after every RC step.
     seed:
         Seed for partitioner randomness when defaults are constructed.
-    strategy_policy:
-        Name of the registered strategy policy ``strategy="auto"``
-        resolves (see
-        :func:`repro.core.strategies.registry.register_policy`);
-        defaults to the signal-driven policy.
     resilience:
         Typed group of the fault-tolerance knobs
         (:class:`ResilienceConfig`: ``recovery``,
@@ -143,7 +138,6 @@ class AnytimeConfig:
     #: None = homogeneous.  Pair with a MultilevelPartitioner whose
     #: target_weights match for speed-proportional blocks.
     worker_speeds: Optional[List[float]] = None
-    strategy_policy: str = "signals"
     resilience: Optional[ResilienceConfig] = None
     health: Optional["HealthPolicy"] = None
     wire_format: str = "delta"
@@ -161,8 +155,6 @@ class AnytimeConfig:
             raise ConfigurationError(
                 "repartition_threshold must be a fraction in [0, 1]"
             )
-        if not self.strategy_policy:
-            raise ConfigurationError("strategy_policy must be a policy name")
         if self.resilience is None:
             self.resilience = ResilienceConfig()
         if self.health is not None:

@@ -200,17 +200,7 @@ class AnytimeAnywhereCloseness:
         if self.cluster is not None:
             # re-setup (baseline restarts): release the old backend
             self.cluster.close()
-        self.cluster = Cluster(
-            self.graph,
-            cfg.nprocs,
-            cost=cfg.cost,
-            logp=cfg.logp,
-            schedule=cfg.schedule,
-            worker_speeds=cfg.worker_speeds,
-            wire_format=cfg.wire_format,
-            backend=cfg.backend,
-            obs=self.obs,
-        )
+        self.cluster = self._build_cluster(self.graph)
         self.cluster.decompose(cfg.partitioner)
         self.cluster.run_initial_approximation()
         logger.debug(
@@ -225,6 +215,21 @@ class AnytimeAnywhereCloseness:
             self.snapshots.append(
                 take_snapshot(self.cluster, -1, wf_improved=cfg.wf_improved)
             )
+
+    def _build_cluster(self, graph: Graph) -> Cluster:
+        """A fresh cluster over ``graph``, wired to the engine's hub."""
+        cfg = self.config
+        return Cluster(
+            graph,
+            cfg.nprocs,
+            cost=cfg.cost,
+            logp=cfg.logp,
+            schedule=cfg.schedule,
+            worker_speeds=cfg.worker_speeds,
+            wire_format=cfg.wire_format,
+            backend=cfg.backend,
+            obs=self.obs,
+        )
 
     def _require_cluster(self) -> Cluster:
         if self.cluster is None:
@@ -261,8 +266,7 @@ class AnytimeAnywhereCloseness:
         ``strategy`` is a registered name, a
         :class:`DynamicStrategy` instance, or ``"auto"`` — the
         policy-driven adapter that picks a registered strategy per batch
-        from live run signals (``config.strategy_policy`` names the
-        policy).
+        from live run signals.
 
         ``budget_modeled_seconds`` exercises the *anytime* property: the
         loop stops once the modeled clock advances by the budget, and the
@@ -481,13 +485,12 @@ class AnytimeAnywhereCloseness:
         # the original analysis progresses until the first change arrives
         if schedule:
             first_step, _ = schedule[0]
-            for s in range(first_step):
-                if not cluster.any_pending():
-                    break
-                cluster.tracer.begin("rc_step", s)
-                cluster.exchange_boundary()
-                cluster.relax_and_propagate()
-                cluster.tracer.end()
+            run_recombination(
+                cluster,
+                max_steps=cfg.max_rc_steps,
+                start_step=0,
+                step_budget=first_step,
+            )
         steps = 0
         for i, (_sched_step, batch) in enumerate(schedule):
             # restart: all partial results are thrown away, and — unlike the

@@ -1,6 +1,5 @@
 """Recombination strategies: placement, additions, deletions, repartition."""
 
-from .adaptive import AdaptiveStrategy, CompositeStrategy
 from .assignment import (
     CutEdgePS,
     LDGPS,
@@ -9,10 +8,10 @@ from .assignment import (
     RoundRobinPS,
 )
 from .base import DynamicStrategy, ProcessorAssignmentStrategy
-from .edge_addition import EdgeAdditionStrategy, apply_edge_addition
+from .composite import CompositeStrategy
+from .edge_addition import apply_edge_addition
 from .edge_deletion import EdgeDeletionStrategy, apply_edge_deletion
 from .policy import (
-    FixedPolicy,
     PolicyDecision,
     PolicyDrivenStrategy,
     SignalDrivenPolicy,
@@ -21,14 +20,11 @@ from .policy import (
 )
 from .rebalance import RebalancedStrategy, apply_migration, plan_rebalance
 from .registry import (
-    POLICIES,
     STRATEGIES,
-    PolicyFactory,
     StrategyFactory,
-    make_policy,
     make_strategy,
     register,
-    register_policy,
+    route_deletions,
 )
 from .repartition import RepartitionStrategy
 from .vertex_addition import VertexAdditionStrategy
@@ -39,13 +35,9 @@ __all__ = [
     "StrategyFactory",
     "register",
     "make_strategy",
-    "POLICIES",
-    "PolicyFactory",
-    "register_policy",
-    "make_policy",
+    "route_deletions",
     "StrategyPolicy",
     "PolicyDecision",
-    "FixedPolicy",
     "ThresholdPolicy",
     "SignalDrivenPolicy",
     "PolicyDrivenStrategy",
@@ -57,7 +49,6 @@ __all__ = [
     "LeastLoadedPS",
     "NeighborMajorityPS",
     "VertexAdditionStrategy",
-    "EdgeAdditionStrategy",
     "apply_edge_addition",
     "EdgeDeletionStrategy",
     "apply_edge_deletion",
@@ -67,6 +58,5 @@ __all__ = [
     "RebalancedStrategy",
     "plan_rebalance",
     "apply_migration",
-    "AdaptiveStrategy",
     "CompositeStrategy",
 ]

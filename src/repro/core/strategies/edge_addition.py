@@ -11,21 +11,20 @@ Adding edge ``(a, b, w)``:
    the owner's local APSP incrementally; a cut edge registers on both
    sides and opens DV-row subscriptions (Fig. 3 lines 35-42).
 
-The vertex-addition strategy reuses this for every edge of a new vertex.
+The vertex-addition strategy runs this for every edge of a new vertex
+and for every standalone edge addition of a batch.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ...graph.changes import ChangeBatch
 from ...types import VertexId
-from .base import DynamicStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...runtime.cluster import Cluster
 
-__all__ = ["apply_edge_addition", "EdgeAdditionStrategy"]
+__all__ = ["apply_edge_addition"]
 
 
 def apply_edge_addition(
@@ -67,22 +66,3 @@ def apply_edge_addition(
         wa.subscribe(a, rank_b)
         wb.subscribe(b, rank_a)
 
-
-class EdgeAdditionStrategy(DynamicStrategy):
-    """Dynamic strategy handling batches of edge additions [9]."""
-
-    name = "edge-addition"
-
-    def apply(self, cluster: "Cluster", batch: ChangeBatch, step: int) -> None:
-        if batch.vertex_additions or batch.vertex_deletions:
-            raise ValueError(
-                "EdgeAdditionStrategy only handles edge additions; use the"
-                " vertex-addition strategies for vertex changes"
-            )
-        if batch.edge_deletions or batch.edge_reweights:
-            raise ValueError(
-                "EdgeAdditionStrategy cannot handle deletions/reweights"
-            )
-        for ea in batch.edge_additions:
-            apply_edge_addition(cluster, ea.u, ea.v, ea.weight)
-        cluster.sync_compute()

@@ -1,20 +1,23 @@
 """Signal-driven strategy selection (paper Fig. 1 line 16).
 
 The RC template "chooses recombination strategy(ies) based on the
-constraints".  :class:`AdaptiveStrategy` hard-codes one constraint
-(batch size); this module generalizes the choice into a pluggable
-**strategy policy**: a pure function from live run signals — the load
-gauges, wire statistics, queue depths and convergence residuals the obs
+constraints".  A **strategy policy** is a pure function from live run
+signals — the load gauges, wire statistics and queue depths the obs
 layer already produces — to the *name* of the dynamic strategy to apply
-to the next batch.
+to the next batch:
+
+* :class:`ThresholdPolicy` — the evaluation's batch-size cut: small
+  batches go through anywhere vertex addition (CutEdge-PS), batches
+  larger than a fraction of |V| through Repartition-S
+  (``strategy="adaptive"``).
+* :class:`SignalDrivenPolicy` — the load/structure/wire ladder behind
+  ``strategy="auto"``.
 
 Policies read signals through a :class:`~repro.obs.registry.SignalView`
-and return names resolved through the ordinary strategy registry, so a
-policy can steer anything that is registered — including strategies
-added downstream.  :class:`PolicyDrivenStrategy` adapts a policy back
-into a :class:`DynamicStrategy` (registered as ``"auto"``), which is
-what makes ``strategy="auto"`` work everywhere a strategy name is
-accepted.
+and return names resolved through the ordinary strategy registry.
+:class:`PolicyDrivenStrategy` adapts a policy back into a
+:class:`DynamicStrategy`, which is what makes both names work everywhere
+a strategy name is accepted.
 
 Determinism: policies see only modeled quantities, collected into a
 *private* registry (observers on/off cannot change what a policy sees,
@@ -29,9 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ...graph.changes import ChangeBatch
-from ...obs.convergence import ConvergenceProbe
 from ...obs.registry import MetricsRegistry, SignalView
-from .adaptive import CompositeStrategy
 from .base import DynamicStrategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,12 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "PolicyDecision",
     "StrategyPolicy",
-    "FixedPolicy",
     "ThresholdPolicy",
     "SignalDrivenPolicy",
     "PolicyDrivenStrategy",
     "batch_intra_edges",
-    "batch_attachment_edges",
 ]
 
 
@@ -57,17 +56,6 @@ def batch_intra_edges(batch: ChangeBatch) -> int:
     for va in batch.vertex_additions:
         for t, _w in va.edges:
             if t in new_ids:
-                count += 1
-    return count
-
-
-def batch_attachment_edges(batch: ChangeBatch) -> int:
-    """Edges anchoring the batch's new vertices to the existing graph."""
-    new_ids = set(batch.new_vertex_ids())
-    count = 0
-    for va in batch.vertex_additions:
-        for t, _w in va.edges:
-            if t not in new_ids:
                 count += 1
     return count
 
@@ -104,36 +92,19 @@ class StrategyPolicy(abc.ABC):
         """
 
 
-class FixedPolicy(StrategyPolicy):
-    """Always choose the same strategy (the non-adaptive baseline)."""
-
-    name = "fixed"
-
-    def __init__(self, strategy: str) -> None:
-        self.strategy = strategy
-
-    def choose(
-        self, signals: SignalView, batch: ChangeBatch, step: int
-    ) -> Tuple[str, str]:
-        return self.strategy, "fixed"
-
-
 class ThresholdPolicy(StrategyPolicy):
-    """Batch-size threshold choice — :class:`AdaptiveStrategy` as a policy.
+    """Batch-size threshold choice (``strategy="adaptive"``).
 
     Batches larger than ``threshold * |V|`` repartition; smaller batches
-    go through the anywhere vertex-addition path.
+    go through anywhere vertex addition with CutEdge-PS placement.
     """
 
     name = "threshold"
 
-    def __init__(
-        self, threshold: float = 0.05, *, small: str = "roundrobin"
-    ) -> None:
+    def __init__(self, threshold: float = 0.05) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be a fraction of |V| in [0, 1]")
         self.threshold = threshold
-        self.small = small
 
     def choose(
         self, signals: SignalView, batch: ChangeBatch, step: int
@@ -142,7 +113,7 @@ class ThresholdPolicy(StrategyPolicy):
         n = max(signals.graph_vertices, 1.0)
         if k > self.threshold * n:
             return "repartition", "large-batch"
-        return self.small, "small-batch"
+        return "cutedge", "small-batch"
 
 
 class SignalDrivenPolicy(StrategyPolicy):
@@ -219,9 +190,9 @@ class PolicyDrivenStrategy(DynamicStrategy):
     Before each batch it samples the cluster's signals into a private
     registry (identical collection to the obs layer's, so decisions
     cannot depend on whether observers are attached), asks the policy
-    for a strategy name, and delegates to the registered strategy —
-    wrapped in a :class:`CompositeStrategy` when necessary so mixed
-    add/delete batches stay routable regardless of the choice.
+    for a strategy name, and delegates to the registered strategy.
+    :func:`~repro.core.strategies.registry.make_strategy` routes the
+    deletions of a mixed batch, whatever the choice.
 
     Chosen strategies are cached per name: placement state (round-robin
     rotation offsets, partitioner streams) persists across batches the
@@ -236,34 +207,23 @@ class PolicyDrivenStrategy(DynamicStrategy):
         self.policy = policy
         self.config = config
         self._registry = MetricsRegistry()
-        self._probe = ConvergenceProbe(wf_improved=config.wf_improved)
         self._cache: Dict[str, DynamicStrategy] = {}
         #: decision trace, one entry per applied batch (pinned in CI)
         self.decisions: List[PolicyDecision] = []
-
-    def signals(self, cluster: "Cluster", step: int = -1) -> SignalView:
-        """Collect the current signals (also the ``Session.signals`` read)."""
-        cluster.collect_signals(self._registry)
-        sample = self._probe.sample(cluster, step)
-        return SignalView(self._registry, {self._probe.name: sample})
 
     def _resolve(self, name: str) -> DynamicStrategy:
         from .registry import make_strategy
 
         inner = self._cache.get(name)
         if inner is None:
-            inner = make_strategy(name, self.config)
-            if not isinstance(inner, CompositeStrategy):
-                # deletion events must still route to the deletion
-                # strategies even when the policy picked an
-                # additions-only strategy such as Repartition-S
-                inner = CompositeStrategy(inner)
-            self._cache[name] = inner
+            inner = self._cache[name] = make_strategy(name, self.config)
         return inner
 
     def apply(self, cluster: "Cluster", batch: ChangeBatch, step: int) -> None:
-        view = self.signals(cluster, step)
-        name, reason = self.policy.choose(view, batch, step)
+        cluster.collect_signals(self._registry)
+        name, reason = self.policy.choose(
+            SignalView(self._registry), batch, step
+        )
         self.decisions.append(
             PolicyDecision(step=step, strategy=name, reason=reason)
         )

@@ -111,25 +111,11 @@ def apply_migration(cluster: "Cluster", moves: Dict[VertexId, Rank]) -> None:
     cluster.charge_comm_words(
         [(s, d, words) for (s, d), words in migration_words.items()]
     )
-    rows = cluster.distance_rows()
-    # preserve the local APSP of workers whose block did not change
-    saved = {
-        w.rank: (tuple(w.owned), w.local_apsp)
-        for w in cluster.workers
-        if w.rank not in touched
-    }
-    cluster.install_partition(
-        Partition(cluster.nprocs, new_assignment), seed_rows=rows
+    cluster.migrate_partition(
+        Partition(cluster.nprocs, new_assignment),
+        cluster.distance_rows(),
+        touched,
     )
-    for w in cluster.workers:
-        kept = saved.get(w.rank)
-        if kept is not None and kept[0] == tuple(w.owned):
-            w.local_apsp = kept[1]
-            w.restore_local_baseline()
-        else:
-            w.recompute_local_apsp()
-        w.queue_all_boundary_rows()
-    cluster.sync_compute()
 
 
 class RebalancedStrategy(DynamicStrategy):

@@ -15,14 +15,15 @@ without editing the engine::
 A factory receives the engine's :class:`~repro.core.config.AnytimeConfig`
 (partitioners, thresholds) and returns a fresh
 :class:`~repro.core.strategies.base.DynamicStrategy`.
+:func:`make_strategy` hands it back through :func:`route_deletions`, so
+every named strategy absorbs mixed add/delete batches.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, TypeVar, overload
+from typing import TYPE_CHECKING, Callable, Dict, Optional, overload
 
 from ...errors import ConfigurationError
-from .adaptive import AdaptiveStrategy, CompositeStrategy
 from .assignment import (
     CutEdgePS,
     LDGPS,
@@ -31,12 +32,8 @@ from .assignment import (
     RoundRobinPS,
 )
 from .base import DynamicStrategy
-from .policy import (
-    PolicyDrivenStrategy,
-    SignalDrivenPolicy,
-    StrategyPolicy,
-    ThresholdPolicy,
-)
+from .composite import CompositeStrategy
+from .policy import PolicyDrivenStrategy, SignalDrivenPolicy, ThresholdPolicy
 from .repartition import RepartitionStrategy
 from .vertex_addition import VertexAdditionStrategy
 
@@ -49,46 +46,32 @@ __all__ = [
     "StrategyFactory",
     "register",
     "make_strategy",
-    "POLICIES",
-    "PolicyFactory",
-    "register_policy",
-    "make_policy",
+    "route_deletions",
 ]
 
-T = TypeVar("T")
-
-#: A factory building a fresh ``T`` from the engine configuration.
-Factory = Callable[["AnytimeConfig"], T]
+#: A factory building a fresh strategy from the engine configuration.
+StrategyFactory = Callable[["AnytimeConfig"], DynamicStrategy]
 
 
-class Registry(Dict[str, Factory[T]]):
-    """Name -> factory table with a duplicate-name guard.
-
-    ``kind`` / ``plural`` name the entries in error messages
-    (``"strategy"`` / ``"strategies"``).
-    """
-
-    def __init__(self, kind: str, plural: str) -> None:
-        super().__init__()
-        self.kind = kind
-        self.plural = plural
+class Registry(Dict[str, StrategyFactory]):
+    """Name -> strategy factory table with a duplicate-name guard."""
 
     @overload
     def register(
         self, name: str, factory: None = None, *, overwrite: bool = False
-    ) -> Callable[[Factory[T]], Factory[T]]:
+    ) -> Callable[[StrategyFactory], StrategyFactory]:
         ...
 
     @overload
     def register(
-        self, name: str, factory: Factory[T], *, overwrite: bool = False
-    ) -> Factory[T]:
+        self, name: str, factory: StrategyFactory, *, overwrite: bool = False
+    ) -> StrategyFactory:
         ...
 
     def register(
         self,
         name: str,
-        factory: Optional[Factory[T]] = None,
+        factory: Optional[StrategyFactory] = None,
         *,
         overwrite: bool = False,
     ) -> Callable[..., object]:
@@ -101,10 +84,10 @@ class Registry(Dict[str, Factory[T]]):
         always a bug.
         """
 
-        def _add(fn: Factory[T]) -> Factory[T]:
+        def _add(fn: StrategyFactory) -> StrategyFactory:
             if not overwrite and name in self:
                 raise ConfigurationError(
-                    f"{self.kind} {name!r} is already registered"
+                    f"strategy {name!r} is already registered"
                     " (pass overwrite=True to replace it)"
                 )
             self[name] = fn
@@ -114,33 +97,37 @@ class Registry(Dict[str, Factory[T]]):
             return _add(factory)
         return _add
 
-    def make(self, name: str, config: "AnytimeConfig") -> T:
-        """Build the registered entry ``name`` for ``config``."""
+    def make(self, name: str, config: "AnytimeConfig") -> DynamicStrategy:
+        """Build the registered strategy ``name`` for ``config``."""
         factory = self.get(name)
         if factory is None:
             raise ConfigurationError(
-                f"unknown {self.kind} {name!r}; registered {self.plural}:"
+                f"unknown strategy {name!r}; registered strategies:"
                 f" {sorted(self)}"
             )
         return factory(config)
 
 
-#: A factory building a fresh strategy from the engine configuration.
-StrategyFactory = Factory[DynamicStrategy]
-
 #: Name -> factory table the engine resolves strategy strings against.
-STRATEGIES: Registry[DynamicStrategy] = Registry("strategy", "strategies")
+STRATEGIES = Registry()
 register = STRATEGIES.register
-make_strategy = STRATEGIES.make
 
-#: A factory building a fresh strategy policy from the configuration.
-PolicyFactory = Factory[StrategyPolicy]
 
-#: Name -> factory table ``strategy="auto"`` resolves policies against;
-#: its own namespace next to :data:`STRATEGIES`.
-POLICIES: Registry[StrategyPolicy] = Registry("strategy policy", "policies")
-register_policy = POLICIES.register
-make_policy = POLICIES.make
+def route_deletions(strategy: DynamicStrategy) -> DynamicStrategy:
+    """Wrap an additions-only strategy so deletions still route.
+
+    Mixed add/delete batches must reach the deletion strategies whatever
+    handles the additions; composites and policy adapters already route
+    them and pass through unchanged.
+    """
+    if isinstance(strategy, (CompositeStrategy, PolicyDrivenStrategy)):
+        return strategy
+    return CompositeStrategy(strategy)
+
+
+def make_strategy(name: str, config: "AnytimeConfig") -> DynamicStrategy:
+    """Build the registered strategy ``name``, routed for deletions."""
+    return route_deletions(STRATEGIES.make(name, config))
 
 
 # ----------------------------------------------------------------------
@@ -148,29 +135,27 @@ make_policy = POLICIES.make
 # ----------------------------------------------------------------------
 @register("roundrobin")
 def _roundrobin(config: "AnytimeConfig") -> DynamicStrategy:
-    return CompositeStrategy(VertexAdditionStrategy(RoundRobinPS()))
+    return VertexAdditionStrategy(RoundRobinPS())
 
 
 @register("leastloaded")
 def _leastloaded(config: "AnytimeConfig") -> DynamicStrategy:
-    return CompositeStrategy(VertexAdditionStrategy(LeastLoadedPS()))
+    return VertexAdditionStrategy(LeastLoadedPS())
 
 
 @register("neighbormajority")
 def _neighbormajority(config: "AnytimeConfig") -> DynamicStrategy:
-    return CompositeStrategy(VertexAdditionStrategy(NeighborMajorityPS()))
+    return VertexAdditionStrategy(NeighborMajorityPS())
 
 
 @register("ldg")
 def _ldg(config: "AnytimeConfig") -> DynamicStrategy:
-    return CompositeStrategy(VertexAdditionStrategy(LDGPS()))
+    return VertexAdditionStrategy(LDGPS())
 
 
 @register("cutedge")
 def _cutedge(config: "AnytimeConfig") -> DynamicStrategy:
-    return CompositeStrategy(
-        VertexAdditionStrategy(CutEdgePS(config.cutedge_partitioner))
-    )
+    return VertexAdditionStrategy(CutEdgePS(config.cutedge_partitioner))
 
 
 @register("repartition")
@@ -180,34 +165,13 @@ def _repartition(config: "AnytimeConfig") -> DynamicStrategy:
 
 @register("adaptive")
 def _adaptive(config: "AnytimeConfig") -> DynamicStrategy:
-    # composite wrapper so deletion events route to the deletion
-    # strategies while the adaptive chooser handles additions
-    return CompositeStrategy(
-        AdaptiveStrategy(
-            CutEdgePS(config.cutedge_partitioner),
-            RepartitionStrategy(config.partitioner),
-            threshold=config.repartition_threshold,
-        )
+    # batch-size switch: CutEdge-PS below the threshold, Repartition-S
+    # above it, chosen per batch by the policy adapter
+    return PolicyDrivenStrategy(
+        ThresholdPolicy(config.repartition_threshold), config
     )
 
 
 @register("auto")
 def _auto(config: "AnytimeConfig") -> DynamicStrategy:
-    # policy-driven selection: config.strategy_policy names the policy,
-    # and the adapter re-resolves through this registry per batch
-    return PolicyDrivenStrategy(
-        make_policy(config.strategy_policy, config), config
-    )
-
-
-# ----------------------------------------------------------------------
-# built-in strategy policies
-# ----------------------------------------------------------------------
-@register_policy("signals")
-def _signals(config: "AnytimeConfig") -> StrategyPolicy:
-    return SignalDrivenPolicy()
-
-
-@register_policy("threshold")
-def _threshold(config: "AnytimeConfig") -> StrategyPolicy:
-    return ThresholdPolicy(config.repartition_threshold)
+    return PolicyDrivenStrategy(SignalDrivenPolicy(), config)

@@ -21,7 +21,7 @@ slowest worker's compute.  Communication is priced by the configured
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Container, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -340,6 +340,33 @@ class Cluster:
                 }
             self.workers[r].load_subgraph(sub, seed_rows=rows)
         self._wire_subscriptions()
+
+    def migrate_partition(
+        self,
+        part: Partition,
+        seed_rows: Dict[VertexId, FloatArray],
+        touched: Container[Rank],
+    ) -> None:
+        """Install a migrated partition and re-queue every boundary row.
+
+        Workers outside ``touched`` whose owned block is unchanged keep
+        their (still exact) local APSP; every other worker rebuilds it.
+        """
+        saved = {
+            w.rank: (tuple(w.owned), w.local_apsp)
+            for w in self.workers
+            if w.rank not in touched
+        }
+        self.install_partition(part, seed_rows=seed_rows)
+        for w in self.workers:
+            kept = saved.get(w.rank)
+            if kept is not None and kept[0] == tuple(w.owned):
+                w.local_apsp = kept[1]
+                w.restore_local_baseline()
+            else:
+                w.recompute_local_apsp()
+            w.queue_all_boundary_rows()
+        self.sync_compute()
 
     def _wire_subscriptions(self) -> None:
         """Every worker subscribes to the owners of its external boundary."""

@@ -21,10 +21,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.engine import AnytimeAnywhereCloseness, RunResult
 from ..core.strategies import (
-    CompositeStrategy,
     DynamicStrategy,
     PolicyDecision,
     PolicyDrivenStrategy,
+    route_deletions,
 )
 from ..errors import ConfigurationError
 from ..graph.changes import (
@@ -191,14 +191,9 @@ class UpdateService:
         self._strategy_label = (
             strategy if isinstance(strategy, str) else resolved.name
         )
-        # mixed add/delete batches are the serve norm: additions-only
-        # strategies (e.g. a fixed Repartition-S) must still route
-        # deletions through the composite's deletion paths
-        if not isinstance(
-            resolved, (CompositeStrategy, PolicyDrivenStrategy)
-        ):
-            resolved = CompositeStrategy(resolved)
-        self.strategy: DynamicStrategy = resolved
+        # mixed add/delete batches are the serve norm: a hand-passed
+        # additions-only instance must still route its deletions
+        self.strategy: DynamicStrategy = route_deletions(resolved)
         self.summary_interval = summary_interval
         self._pending: List[PendingChange] = []
         self.tick = 0

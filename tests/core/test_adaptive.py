@@ -1,16 +1,16 @@
-"""Adaptive and composite strategy routing."""
+"""Adaptive (batch-size switched) and composite strategy routing."""
 
 import pytest
 
 from repro import AnytimeAnywhereCloseness, AnytimeConfig, ChangeStream
 from repro.bench import community_workload
 from repro.core.strategies import (
-    AdaptiveStrategy,
     CompositeStrategy,
-    CutEdgePS,
-    RepartitionStrategy,
+    PolicyDrivenStrategy,
     RoundRobinPS,
+    ThresholdPolicy,
     VertexAdditionStrategy,
+    make_strategy,
 )
 from repro.graph import ChangeBatch, barabasi_albert
 from repro.graph.changes import (
@@ -24,8 +24,8 @@ from ..conftest import run_and_verify
 
 
 def make_adaptive(threshold=0.1):
-    return AdaptiveStrategy(
-        RoundRobinPS(), RepartitionStrategy(), threshold=threshold
+    return make_strategy(
+        "adaptive", AnytimeConfig(nprocs=4, repartition_threshold=threshold)
     )
 
 
@@ -35,7 +35,7 @@ def test_small_batch_uses_addition():
     run_and_verify(
         wl.base, changes=wl.stream, strategy=strategy, final=wl.final, nprocs=4
     )
-    assert strategy.last_choice == "vertex-addition[roundrobin]"
+    assert strategy.decisions[-1].strategy == "cutedge"
 
 
 def test_large_batch_uses_repartition():
@@ -44,12 +44,12 @@ def test_large_batch_uses_repartition():
     run_and_verify(
         wl.base, changes=wl.stream, strategy=strategy, final=wl.final, nprocs=4
     )
-    assert strategy.last_choice == "repartition"
+    assert strategy.decisions[-1].strategy == "repartition"
 
 
 def test_threshold_validation():
     with pytest.raises(ValueError):
-        make_adaptive(threshold=1.5)
+        ThresholdPolicy(threshold=1.5)
 
 
 def test_composite_routes_mixed_batch():
@@ -83,13 +83,13 @@ def test_engine_adaptive_name():
     g = barabasi_albert(30, 2, seed=4)
     engine = AnytimeAnywhereCloseness(g, AnytimeConfig(nprocs=2))
     strategy = engine.resolve_strategy("adaptive")
-    assert isinstance(strategy, CompositeStrategy)
-    assert isinstance(strategy.addition, AdaptiveStrategy)
-    assert isinstance(strategy.addition.addition.placement, CutEdgePS)
+    assert isinstance(strategy, PolicyDrivenStrategy)
+    assert isinstance(strategy.policy, ThresholdPolicy)
+    assert strategy.policy.threshold == engine.config.repartition_threshold
 
 
 def test_engine_adaptive_handles_mixed_batches():
-    """The composite wrapper must route deletions even under 'adaptive'."""
+    """Deletions must still route under 'adaptive'."""
     from repro.graph.changes import EdgeDeletion
 
     g = barabasi_albert(40, 2, seed=5)
@@ -106,6 +106,27 @@ def test_engine_adaptive_handles_mixed_batches():
         g,
         changes=ChangeStream({1: batch}),
         strategy="adaptive",
+        final=final,
+        nprocs=4,
+    )
+
+
+def test_engine_repartition_name_handles_mixed_batches():
+    """A named additions-only strategy routes deletions like any other."""
+    g = barabasi_albert(40, 2, seed=6)
+    e = next(iter(g.edges()))
+    final = g.copy()
+    final.remove_edge(e[0], e[1])
+    final.add_vertex(100)
+    final.add_edge(100, 3, 1.0)
+    batch = ChangeBatch(
+        vertex_additions=[VertexAddition(100, edges=((3, 1.0),))],
+        edge_deletions=[EdgeDeletion(e[0], e[1])],
+    )
+    run_and_verify(
+        g,
+        changes=ChangeStream({1: batch}),
+        strategy="repartition",
         final=final,
         nprocs=4,
     )

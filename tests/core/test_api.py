@@ -86,9 +86,9 @@ class TestStrategyRegistry:
 
     def test_make_strategy_repartition(self):
         cfg = AnytimeConfig(nprocs=2)
-        assert isinstance(
-            make_strategy("repartition", cfg), RepartitionStrategy
-        )
+        s = make_strategy("repartition", cfg)
+        assert isinstance(s, CompositeStrategy)
+        assert isinstance(s.addition, RepartitionStrategy)
 
     def test_unknown_name_lists_registered(self):
         with pytest.raises(ConfigurationError, match="roundrobin"):

@@ -8,6 +8,7 @@ from repro.centrality import exact_closeness
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.errors import ConfigurationError
 from repro.graph import barabasi_albert
+from repro.obs import registry as series
 from repro.runtime import check_cluster_invariants
 
 
@@ -71,6 +72,24 @@ def test_clock_survives(tmp_path):
     save_checkpoint(engine, path)
     restored = load_checkpoint(path)
     assert restored.modeled_seconds == pytest.approx(before)
+
+
+def test_restored_engine_exports_metrics(tmp_path):
+    """The restored cluster reports through the engine's observer hub."""
+    _g, engine = make_engine()
+    engine.run(step_budget=1)
+    path = tmp_path / "c.npz"
+    save_checkpoint(engine, path)
+    restored = load_checkpoint(
+        path,
+        AnytimeConfig(
+            nprocs=4, collect_snapshots=False, observers=("metrics",)
+        ),
+    )
+    result = restored.run()
+    exported = restored.obs.registry.value(series.WIRE_WORDS)
+    assert exported is not None
+    assert 0.0 < exported <= result.wire_words
 
 
 def test_nprocs_mismatch_rejected(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from repro import AnytimeAnywhereCloseness, AnytimeConfig, ChangeStream
 from repro.graph import ChangeBatch, barabasi_albert, random_weights
 from repro.graph.changes import EdgeAddition, EdgeDeletion, EdgeReweight
-from repro.core.strategies import EdgeAdditionStrategy, EdgeDeletionStrategy
+from repro.core.strategies import EdgeDeletionStrategy
 
 from ..conftest import cycle_graph, path_graph, run_and_verify
 
@@ -59,18 +59,6 @@ class TestEdgeAddition:
         run_and_verify(
             g, changes=ChangeStream({1: batch}), final=final, nprocs=2
         )
-
-    def test_strategy_rejects_vertex_changes(self):
-        from repro.graph.changes import VertexAddition
-
-        g = path_graph(4)
-        engine = AnytimeAnywhereCloseness(g, AnytimeConfig(nprocs=2))
-        engine.setup()
-        stream = ChangeStream(
-            {0: ChangeBatch(vertex_additions=[VertexAddition(9)])}
-        )
-        with pytest.raises(ValueError):
-            engine.run(changes=stream, strategy=EdgeAdditionStrategy())
 
 
 class TestEdgeDeletion:

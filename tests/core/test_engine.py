@@ -9,9 +9,10 @@ from repro.errors import ConfigurationError
 from repro.graph import ChangeBatch, barabasi_albert
 from repro.graph.changes import VertexAddition
 from repro.core.strategies import (
-    AdaptiveStrategy,
     CompositeStrategy,
+    PolicyDrivenStrategy,
     RepartitionStrategy,
+    ThresholdPolicy,
 )
 
 
@@ -76,14 +77,14 @@ class TestStrategyResolution:
         assert isinstance(s, CompositeStrategy)
 
     def test_repartition_name(self, engine):
-        assert isinstance(
-            engine.resolve_strategy("repartition"), RepartitionStrategy
-        )
+        s = engine.resolve_strategy("repartition")
+        assert isinstance(s, CompositeStrategy)
+        assert isinstance(s.addition, RepartitionStrategy)
 
     def test_adaptive_name(self, engine):
         s = engine.resolve_strategy("adaptive")
-        assert isinstance(s, CompositeStrategy)
-        assert isinstance(s.addition, AdaptiveStrategy)
+        assert isinstance(s, PolicyDrivenStrategy)
+        assert isinstance(s.policy, ThresholdPolicy)
 
     def test_instance_passthrough(self, engine):
         s = RepartitionStrategy()

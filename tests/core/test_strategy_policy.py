@@ -2,23 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro import AnytimeConfig
 from repro.core.strategies import (
-    POLICIES,
     PolicyDrivenStrategy,
     SignalDrivenPolicy,
     ThresholdPolicy,
-    make_policy,
     make_strategy,
-    register_policy,
 )
-from repro.core.strategies.policy import (
-    batch_attachment_edges,
-    batch_intra_edges,
-)
-from repro.errors import ConfigurationError
+from repro.core.strategies.policy import batch_intra_edges
 from repro.graph.changes import ChangeBatch, VertexAddition
 from repro.obs import registry as series
 from repro.obs.registry import MetricsRegistry, SignalView
@@ -56,7 +47,6 @@ def _batch(k, intra_per_vertex=0):
 
 def test_batch_edge_counters():
     batch = _batch(4, intra_per_vertex=1)
-    assert batch_attachment_edges(batch) == 4
     assert batch_intra_edges(batch) == 3  # vertex 0 has no earlier peer
 
 
@@ -114,30 +104,18 @@ class TestSignalDrivenLadder:
         assert name == "repartition"
 
 
-class TestPolicyRegistry:
-    def test_builtin_policies_registered(self):
-        assert "signals" in POLICIES and "threshold" in POLICIES
-        cfg = AnytimeConfig(nprocs=4)
-        assert isinstance(make_policy("signals", cfg), SignalDrivenPolicy)
-        assert isinstance(make_policy("threshold", cfg), ThresholdPolicy)
+class TestPolicyAdapters:
+    def test_auto_resolves_signal_driven_policy(self):
+        strat = make_strategy("auto", AnytimeConfig(nprocs=4))
+        assert isinstance(strat, PolicyDrivenStrategy)
+        assert isinstance(strat.policy, SignalDrivenPolicy)
 
-    def test_unknown_policy_raises_with_catalog(self):
-        with pytest.raises(ConfigurationError, match="signals"):
-            make_policy("no-such-policy", AnytimeConfig(nprocs=4))
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ConfigurationError):
-            register_policy("signals", lambda cfg: SignalDrivenPolicy())
-
-    def test_auto_strategy_resolves_configured_policy(self):
-        cfg = AnytimeConfig(nprocs=4, strategy_policy="threshold")
-        strat = make_strategy("auto", cfg)
+    def test_adaptive_resolves_threshold_policy(self):
+        cfg = AnytimeConfig(nprocs=4, repartition_threshold=0.2)
+        strat = make_strategy("adaptive", cfg)
         assert isinstance(strat, PolicyDrivenStrategy)
         assert isinstance(strat.policy, ThresholdPolicy)
-
-    def test_blank_strategy_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AnytimeConfig(nprocs=4, strategy_policy="")
+        assert strat.policy.threshold == 0.2
 
 
 def test_threshold_policy_mirrors_adaptive_rule():
@@ -145,5 +123,5 @@ def test_threshold_policy_mirrors_adaptive_rule():
     pol = ThresholdPolicy(threshold=0.05)
     small, r1 = pol.choose(cfg_view, _batch(5), step=0)
     large, r2 = pol.choose(cfg_view, _batch(6), step=0)
-    assert (small, r1) == ("roundrobin", "small-batch")
+    assert (small, r1) == ("cutedge", "small-batch")
     assert (large, r2) == ("repartition", "large-batch")

@@ -106,21 +106,18 @@ def test_mixed_add_delete_batch_routes_through_composite():
 
 def test_policy_switches_strategy_mid_stream():
     """A trickle batch and a bulk batch through the same service must
-    route through different strategies (ThresholdPolicy is pure batch
-    arithmetic, so the switch is deterministic by construction)."""
+    route through different strategies (the "adaptive" ThresholdPolicy
+    is pure batch arithmetic, so the switch is deterministic by
+    construction)."""
     g = barabasi_albert(60, 2, seed=3)
     eng = AnytimeAnywhereCloseness(
-        g,
-        AnytimeConfig(
-            nprocs=4, seed=3, collect_snapshots=False,
-            strategy_policy="threshold",
-        ),
+        g, AnytimeConfig(nprocs=4, seed=3, collect_snapshots=False)
     )
     eng.setup()
     svc = UpdateService(
-        eng, admission=SizeAdmission(max_events=2), strategy="auto"
+        eng, admission=SizeAdmission(max_events=2), strategy="adaptive"
     )
-    # batch 1: a two-vertex trickle (<= 5% of |V|) -> RoundRobin-PS
+    # batch 1: a two-vertex trickle (<= 5% of |V|) -> CutEdge-PS
     svc.feed([
         VertexAddition(100 + i, ((i, 1.0), (i + 1, 1.0))) for i in range(2)
     ])
@@ -134,7 +131,7 @@ def test_policy_switches_strategy_mid_stream():
     decisions = svc.policy_decisions
     assert len(decisions) == 2
     assert [d.strategy for d in decisions] == [first.strategy, second.strategy]
-    assert (first.strategy, first.reason) == ("roundrobin", "small-batch")
+    assert (first.strategy, first.reason) == ("cutedge", "small-batch")
     assert (second.strategy, second.reason) == ("repartition", "large-batch")
 
 
