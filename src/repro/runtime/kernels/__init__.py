@@ -3,8 +3,9 @@
 The heavy per-rank work of the two parallelizable phases — the IA-phase
 local Dijkstra and the RC-step superstep (cut-edge relaxation + local
 min-plus propagation) — lives in :mod:`.oracle` as plain module
-functions.  Kernels touch only a picklable *task* (:mod:`.tasks`, built
-by the worker in the coordinating process) and the worker's two large
+functions, next to the per-edge relaxation of vertex additions.
+Kernels touch only a picklable *task* (:mod:`.tasks`, built by the
+worker in the coordinating process) and the worker's two large
 matrices ``dv`` / ``local_apsp``, passed in explicitly so a subprocess
 can supply shared-memory views.  Everything stateful (change tracking,
 subscriber queues, modeled LogP charges, counters) stays in
@@ -18,6 +19,7 @@ accounting invariant across backends.
 from __future__ import annotations
 
 from .oracle import (
+    edge_relax_kernel,
     ia_chunk_kernel,
     ia_chunks,
     ia_kernel,
@@ -41,6 +43,7 @@ __all__ = [
     "RelaxItems",
     "SuperstepResult",
     "SuperstepTask",
+    "edge_relax_kernel",
     "ia_chunk_kernel",
     "ia_chunks",
     "ia_kernel",

@@ -29,13 +29,15 @@ from ..errors import WorkerError
 from ..graph.graph import Graph
 from ..graph.views import LocalSubgraph
 from ..model.cost import CostModel
-from ..types import FloatArray, IntArray, Rank, VertexId
+from ..types import FloatArray, Rank, VertexId
 from .index import GlobalIndex
 from .kernels import (
     IATask,
+    IndexArray,
     RelaxItems,
     SuperstepResult,
     SuperstepTask,
+    edge_relax_kernel,
     ia_kernel,
     minplus_fold,
     relax_cut_kernel,
@@ -342,16 +344,22 @@ class Worker:
         self._changed_rows.add(row)
         self._queue_row(self.owned[row])
 
-    def _mark_rows_changed(self, rows: "IntArray") -> None:
-        """Bulk version of :meth:`_mark_row_changed` for vectorized kernels."""
+    def _mark_rows_changed(self, rows: IndexArray) -> None:
+        """Bulk version of :meth:`_mark_row_changed` for vectorized kernels.
+
+        Queues into the pending sets in any rank order: they are consumed
+        sorted, so the sorted-subscriber memo would only add lookups here.
+        """
         idx = rows.tolist()
         self._changed_rows.update(idx)
-        if not self._subscribers:
+        subscribers = self._subscribers
+        if not subscribers:
             return
+        owned, pending = self.owned, self._pending
         for r in idx:
-            v = self.owned[r]
-            for dst in self._sorted_subscribers(v):
-                self._pending[dst].add(v)
+            v = owned[r]
+            for dst in subscribers.get(v, ()):
+                pending[dst].add(v)
 
     def subscribe(self, v: VertexId, dst: Rank) -> None:
         """Rank ``dst`` wants updates of ``v``'s DV row from now on."""
@@ -908,28 +916,25 @@ class Worker:
             return False
         col_a = self.index.column(a)
         col_b = self.index.column(b)
-        improved_any = False
+        improved: List[IndexArray] = []
+        # Sequential passes: the second reads the first pass's writes.
         for col_src, row in ((col_a, row_b), (col_b, row_a)):
             # The paper's relaxation is dense (every owned row x every
-            # target), and the modeled cost charges that.  The simulation
-            # skips +inf rows/columns — a pure wall-clock optimization that
+            # target), and the modeled cost charges that.  The kernel
+            # skips +inf source rows — a pure wall-clock optimization that
             # cannot change any result (inf + w never improves anything).
             self._charge(self.cost.relax_time(self.n_local * self.n_cols))
-            src_col = self.dv[:, col_src]
-            rows_f = np.flatnonzero(np.isfinite(src_col)).astype(np.int64)
-            cols_f = np.flatnonzero(np.isfinite(row))
-            if rows_f.size == 0 or cols_f.size == 0:
-                continue
-            sub = self.dv[np.ix_(rows_f, cols_f)]
-            through = src_col[rows_f][:, None] + (w + row[cols_f])[None, :]
-            mask = through < sub
-            if mask.any():
-                sub[mask] = through[mask]
-                self.dv[np.ix_(rows_f, cols_f)] = sub
-                self._dirty_cols[cols_f[mask.any(axis=0)]] = True
-                self._mark_rows_changed(rows_f[mask.any(axis=1)])
-                improved_any = True
-        return improved_any
+            rows = edge_relax_kernel(
+                self.dv, self._dirty_cols, self.dv[:, col_src], w + row
+            )
+            if rows.size:
+                improved.append(rows)
+        if not improved:
+            return False
+        # change tracking is consumed in sorted order, so marking the
+        # union once equals marking each pass's rows in turn
+        self._mark_rows_changed(np.union1d(improved[0], improved[-1]))
+        return True
 
     def invalidate_for_deleted_edge(
         self,

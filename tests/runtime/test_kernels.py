@@ -2,7 +2,9 @@
 
 Covers the blocked batched min-plus fold (block clamping, infinite
 source blocks, and the scatter writeback against the old full-submatrix
-fold), source-chunked IA (chunks compose bitwise to the whole-rank
+fold), the in-place edge-addition relaxation against the ``np.ix_``
+gather/scatter it replaced (kernel-level and through whole dynamic
+runs), source-chunked IA (chunks compose bitwise to the whole-rank
 Dijkstra), the process backend's chunked IA against the serial backend
 on static, dynamic and fault-injected runs, and the cached sorted
 subscriber lists on :class:`Worker`.  Every variant must be
@@ -16,9 +18,13 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.runtime.kernels.oracle as kernels
+import repro.runtime.worker as worker_module
 from repro import AnytimeAnywhereCloseness, AnytimeConfig, ResilienceConfig
+from repro.bench.workloads import incremental_stream
 from repro.graph import barabasi_albert, extract_local_subgraph
 from repro.graph.changes import (
     ChangeBatch,
@@ -28,6 +34,7 @@ from repro.graph.changes import (
     VertexAddition,
 )
 from repro.model import DEFAULT_COST
+from repro.partition import MultilevelPartitioner
 from repro.runtime import GlobalIndex, Worker
 from repro.runtime.chaos import FaultPlan
 from repro.runtime.kernels import IATask
@@ -383,3 +390,196 @@ class TestSubscriberMemo:
         assert w._sorted_subscribers(2) == [5]
         w.subscribers = {}
         assert w._sorted_subscribers(2) == []
+
+
+# ----------------------------------------------------------------------
+# edge-addition relaxation (Fig. 3 lines 26-34)
+# ----------------------------------------------------------------------
+def ix_edge_relax_reference(
+    dv: np.ndarray, dirty_cols: np.ndarray, src_col: np.ndarray,
+    w_row: np.ndarray,
+) -> np.ndarray:
+    """The former ``np.ix_`` relaxation, kept as the bitwise oracle.
+
+    Gathers the finite-source-row x finite-target-column block, applies
+    a masked update to the copy and scatters it back.
+    """
+    rows_f = np.flatnonzero(np.isfinite(src_col))
+    cols_f = np.flatnonzero(np.isfinite(w_row))
+    if rows_f.size == 0 or cols_f.size == 0:
+        return rows_f[:0]
+    sub = dv[np.ix_(rows_f, cols_f)]
+    through = src_col[rows_f][:, None] + w_row[cols_f][None, :]
+    mask = through < sub
+    if not mask.any():
+        return rows_f[:0]
+    sub[mask] = through[mask]
+    dv[np.ix_(rows_f, cols_f)] = sub
+    dirty_cols[cols_f[mask.any(axis=0)]] = True
+    return rows_f[mask.any(axis=1)]
+
+
+#: dyadic fractions add exactly, so candidates often tie stored entries
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.5, 2.75, 4.0]),
+    st.floats(0.01, 50.0, allow_nan=False, allow_infinity=False),
+)
+#: about one DV cell in four is +inf
+_CELLS = st.one_of(_WEIGHTS, _WEIGHTS, _WEIGHTS, st.just(np.inf))
+
+
+@st.composite
+def edge_relax_cases(draw):
+    """A DV block, two endpoint columns and their broadcast rows.
+
+    Whole rows and columns may be +inf, and the first source column is
+    drawn all-finite, partly finite or all-infinite.
+    """
+    n = draw(st.integers(1, 7))
+    c = draw(st.integers(2, 10))
+    dv = np.array(
+        draw(st.lists(_CELLS, min_size=n * c, max_size=n * c))
+    ).reshape(n, c)
+    dv[draw(st.lists(st.integers(0, n - 1), max_size=2)), :] = np.inf
+    dv[:, draw(st.lists(st.integers(0, c - 1), max_size=2))] = np.inf
+    col_a, col_b = draw(
+        st.lists(st.integers(0, c - 1), min_size=2, max_size=2, unique=True)
+    )
+    mode = draw(st.sampled_from(["finite", "mixed", "inf"]))
+    if mode == "finite":
+        dv[:, col_a] = draw(
+            st.lists(_WEIGHTS, min_size=n, max_size=n)
+        )
+    elif mode == "inf":
+        dv[:, col_a] = np.inf
+    rows = []
+    for col in (col_a, col_b):
+        row = np.array(draw(st.lists(_CELLS, min_size=c, max_size=c)))
+        row[col] = 0.0
+        rows.append(row)
+    return dv, col_a, col_b, rows[0], rows[1], draw(_WEIGHTS)
+
+
+class TestEdgeRelaxKernel:
+    """``edge_relax_kernel`` is bitwise the ``np.ix_`` relaxation."""
+
+    @given(case=edge_relax_cases())
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_matches_ix_reference(self, case):
+        dv, col_a, col_b, row_a, row_b, w = case
+        got, want = dv.copy(), dv.copy()
+        dirty_got = np.zeros(dv.shape[1], dtype=bool)
+        dirty_want = dirty_got.copy()
+        # both orientations in sequence, as the worker runs them: the
+        # second pass reads the first pass's writes
+        for col_src, row in ((col_a, row_b), (col_b, row_a)):
+            rows_got = kernels.edge_relax_kernel(
+                got, dirty_got, got[:, col_src], w + row
+            )
+            rows_want = ix_edge_relax_reference(
+                want, dirty_want, want[:, col_src], w + row
+            )
+            assert rows_got.tolist() == rows_want.tolist()
+            assert dirty_got.tolist() == dirty_want.tolist()
+            assert got.tobytes() == want.tobytes()
+
+    def test_all_infinite_source_leaves_dv(self):
+        dv = np.array([[0.0, np.inf], [1.0, np.inf]])
+        before = dv.copy()
+        dirty = np.zeros(2, dtype=bool)
+        rows = kernels.edge_relax_kernel(
+            dv, dirty, dv[:, 1], np.array([0.5, 0.5])
+        )
+        assert rows.size == 0
+        assert not dirty.any()
+        assert dv.tobytes() == before.tobytes()
+
+    def test_partly_finite_source_relaxes_finite_rows_only(self):
+        dv = np.array([[0.0, 5.0, 9.0], [np.inf, np.inf, 9.0]])
+        dirty = np.zeros(3, dtype=bool)
+        rows = kernels.edge_relax_kernel(
+            dv, dirty, dv[:, 0], np.array([2.0, 1.0, 1.0])
+        )
+        assert rows.tolist() == [0]
+        assert dirty.tolist() == [False, True, True]
+        assert dv.tolist() == [[0.0, 1.0, 1.0], [np.inf, np.inf, 9.0]]
+
+
+class TestWorkerEdgeRelax:
+    """The worker runs both orientations in sequence and marks rows."""
+
+    def test_second_pass_reads_first_pass_writes(self):
+        g = barabasi_albert(40, 2, seed=3)
+        part = MultilevelPartitioner(seed=3).partition(g, 4)
+        idx = GlobalIndex(g.vertex_list())
+        w = Worker(0, 4, idx, DEFAULT_COST)
+        w.load_subgraph(
+            extract_local_subgraph(g, part.block(0), part.assignment, 0)
+        )
+        w.run_initial_approximation()
+        a = w.owned[0]
+        b = next(v for v in g.vertex_list() if v not in w.row_of)
+        col_a, col_b = idx.column(a), idx.column(b)
+        rng = np.random.default_rng(0)
+        # d(x, b) starts +inf on this rank: only the first pass's writes
+        # into column b let the second pass improve anything
+        assert np.isinf(w.dv[:, col_b]).all()
+        row_a = rng.uniform(0.5, 6.0, size=w.n_cols)
+        row_b = rng.uniform(0.5, 6.0, size=w.n_cols)
+        row_a[col_a] = row_b[col_b] = 0.0
+        want = w.dv.copy()
+        dirty_want = w._dirty_cols.copy()
+        improved = set()
+        for col_src, row in ((col_a, row_b), (col_b, row_a)):
+            improved.update(
+                ix_edge_relax_reference(
+                    want, dirty_want, want[:, col_src], 0.75 + row
+                ).tolist()
+            )
+        w._changed_rows.clear()
+        assert w.relax_with_edge_rows(a, row_a, b, row_b, 0.75)
+        assert w.dv.tobytes() == want.tobytes()
+        assert w._dirty_cols.tolist() == dirty_want.tolist()
+        assert w._changed_rows == improved
+
+
+def _edge_pin_run(strategy: str, backend: str):
+    wl = incremental_stream(60, 6, 3, seed=5)
+    engine = AnytimeAnywhereCloseness(
+        wl.base,
+        AnytimeConfig(
+            nprocs=4, seed=5, collect_snapshots=False, backend=backend
+        ),
+    )
+    engine.setup()
+    res = engine.run(changes=wl.stream, strategy=strategy)
+    engine.close()
+    return (
+        _bits(res.closeness),
+        res.modeled_seconds.hex(),
+        res.rc_steps,
+        res.wire_words,
+    )
+
+
+class TestEdgeRelaxEnginePin:
+    """Whole dynamic runs are unchanged with the reference swapped in."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("strategy", ["cutedge", "roundrobin"])
+    def test_reference_run_matches(self, monkeypatch, strategy, backend):
+        got = _edge_pin_run(strategy, backend)
+        calls = []
+
+        def reference(*args):
+            calls.append(1)
+            return ix_edge_relax_reference(*args)
+
+        monkeypatch.setattr(worker_module, "edge_relax_kernel", reference)
+        want = _edge_pin_run(strategy, backend)
+        assert calls, "the reference relaxation never ran"
+        assert got == want

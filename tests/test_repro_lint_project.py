@@ -916,7 +916,7 @@ class TestPhaseDiscipline:
         assert lint_project(tmp_path, files, select=self.SELECT) == []
 
     def test_view_writeback_flagged(self, tmp_path: Path) -> None:
-        """relax_with_edge_rows shape: write through an np.ix_ view."""
+        """An unregistered write through an np.ix_ view of ``dv``."""
         files = {
             "src/repro/runtime/w.py": """
                 import numpy as np
