@@ -52,7 +52,7 @@ from ..runtime.metrics import LoadSnapshot, snapshot_load
 from ..types import FloatArray, VertexId
 from .config import AnytimeConfig, ResilienceConfig
 from .recombination import run_recombination
-from .snapshots import AnytimeSnapshot, take_snapshot
+from .snapshots import AnytimeSnapshot, measure_rows, take_snapshot
 from .strategies import DynamicStrategy, make_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -592,9 +592,7 @@ class AnytimeAnywhereCloseness:
     # ------------------------------------------------------------------
     def current_closeness(self) -> Dict[VertexId, float]:
         """Closeness estimates from the current DVs (anytime read)."""
-        cluster = self._require_cluster()
-        snap = take_snapshot(cluster, -1, wf_improved=self.config.wf_improved)
-        return snap.closeness
+        return self.current_measure("closeness")
 
     def current_measure(self, measure: str = "closeness") -> Dict[VertexId, float]:
         """Any row-derived SNA measure from the current DVs (anytime read).
@@ -629,11 +627,7 @@ class AnytimeAnywhereCloseness:
                 f"unknown measure {measure!r}; choose from"
                 f" {sorted(row_fns) + ['degree']}"
             )
-        out: Dict[VertexId, float] = {}
-        for w in cluster.workers:
-            for v in w.owned:
-                out[v] = fn(w.dv[w.row_of[v]], cluster.index.column(v))
-        return out
+        return measure_rows(cluster, fn)
 
     def signals(self) -> SignalView:
         """Read-only view of the live run signals (anytime read).

@@ -112,14 +112,11 @@ def run_recombination(
         cluster.tracer.begin("rc_step", step)
         try:
             delivered = cluster.exchange_boundary()
-            rec = cluster.tracer._open
-            if rec is not None and delivered:
+            if delivered:
                 # rows landed this step (dense or delta): part of the
                 # canonical per-step trace, so wire-format bugs show up
                 # as trace diffs
-                rec.info["rows_delivered"] = (
-                    rec.info.get("rows_delivered", 0.0) + delivered
-                )
+                cluster.tracer.tally("rows_delivered", delivered)
             cluster.relax_and_propagate()
             if batch is not None:
                 strategy.apply(cluster, batch, step)  # type: ignore[union-attr]

@@ -10,17 +10,17 @@ curves can be plotted and the monotonicity invariant property-tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Callable, Dict
 
 import numpy as np
 
 from ..centrality.closeness import closeness_from_row
-from ..types import VertexId
+from ..types import FloatArray, VertexId
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.cluster import Cluster
 
-__all__ = ["AnytimeSnapshot", "take_snapshot"]
+__all__ = ["AnytimeSnapshot", "measure_rows", "take_snapshot"]
 
 
 @dataclass
@@ -44,25 +44,32 @@ class AnytimeSnapshot:
         return 1.0 - self.unresolved_pairs / total
 
 
+def measure_rows(
+    cluster: "Cluster", fn: Callable[[FloatArray, int], float]
+) -> Dict[VertexId, float]:
+    """``fn(row, own column)`` of every owned DV row, rank by rank (pure
+    observation — not charged to the modeled clock)."""
+    return {
+        v: fn(w.dv[w.row_of[v]], cluster.index.column(v))
+        for w in cluster.workers
+        for v in w.owned
+    }
+
+
 def take_snapshot(
     cluster: "Cluster", step: int, *, wf_improved: bool = False
 ) -> AnytimeSnapshot:
     """Capture the current solution (pure observation — not charged to the
     modeled clock)."""
-    closeness: Dict[VertexId, float] = {}
-    unresolved = 0
-    for w in cluster.workers:
-        if w.n_local == 0:
-            continue
-        finite = np.isfinite(w.dv)
-        unresolved += int(w.dv.size - finite.sum())
-        for v in w.owned:
-            r = w.row_of[v]
-            closeness[v] = closeness_from_row(
-                w.dv[r],
-                self_col=cluster.index.column(v),
-                wf_improved=wf_improved,
-            )
+    closeness = measure_rows(
+        cluster,
+        lambda row, c: closeness_from_row(
+            row, self_col=c, wf_improved=wf_improved
+        ),
+    )
+    unresolved = sum(
+        int(w.dv.size - np.isfinite(w.dv).sum()) for w in cluster.workers
+    )
     return AnytimeSnapshot(
         step=step,
         modeled_seconds=cluster.tracer.modeled_seconds,

@@ -15,7 +15,7 @@ by :meth:`Graph.edges` with ``u <= v``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,18 +58,12 @@ class CSRView:
 class Graph:
     """A mutable weighted undirected graph keyed by integer vertex ids."""
 
-    __slots__ = ("_adj", "_num_edges", "_total_weight", "_csr_cache", "_csr_dirty", "_csr_added")
+    __slots__ = ("_adj", "_num_edges", "_total_weight")
 
     def __init__(self) -> None:
         self._adj: Dict[VertexId, Dict[VertexId, float]] = {}
         self._num_edges = 0
         self._total_weight = 0.0
-        # Incremental CSR cache.  ``_csr_cache`` holds the most recent
-        # :meth:`to_csr` result; dirty-tracking is active only while it is
-        # set, so graphs that never export pay nothing on mutation.
-        self._csr_cache: Optional[CSRView] = None
-        self._csr_dirty: Set[VertexId] = set()
-        self._csr_added: Set[VertexId] = set()
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -120,8 +114,6 @@ class Graph:
                 return
             raise DuplicateVertex(f"vertex {v} already exists")
         self._adj[v] = {}
-        if self._csr_cache is not None:
-            self._csr_added.add(v)
 
     def add_vertices(self, vertices: Iterable[VertexId]) -> None:
         """Add multiple isolated vertices (existing ids are tolerated)."""
@@ -142,7 +134,6 @@ class Graph:
             removed.append((v, u, w))
             self._num_edges -= 1
             self._total_weight -= w
-        self._drop_csr_cache()
         return removed
 
     def has_vertex(self, v: VertexId) -> bool:
@@ -197,9 +188,6 @@ class Graph:
             self._total_weight += weight - existing
         self._adj[u][v] = weight
         self._adj[v][u] = weight
-        if self._csr_cache is not None:
-            self._csr_dirty.add(u)
-            self._csr_dirty.add(v)
 
     def add_edges(
         self, edges: Iterable[Tuple[int, int] | Tuple[int, int, float]]
@@ -228,7 +216,6 @@ class Graph:
         del self._adj[v][u]
         self._num_edges -= 1
         self._total_weight -= w
-        self._drop_csr_cache()
         return w
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
@@ -308,19 +295,9 @@ class Graph:
     def to_csr(self, order: Optional[Sequence[VertexId]] = None) -> CSRView:
         """Export (a sub-view of) the graph as a SciPy CSR matrix.
 
-        The most recent export is cached and maintained incrementally:
-
-        * re-exporting an unchanged graph with the same ``order`` returns
-          the cached :class:`CSRView` object outright;
-        * after vertex additions (and edge additions among them), an
-          ``order`` that extends the cached order only builds the new and
-          dirty rows, splicing the untouched row slices from the cache;
-        * edge/vertex deletions and any non-prefix ``order`` fall back to
-          a full rebuild (which re-primes the cache).
-
-        Returned views are immutable snapshots: incremental rebuilds
-        allocate fresh arrays, so views handed out earlier never observe
-        later mutations.  Both paths produce bitwise-identical matrices.
+        Every call builds the matrix afresh from the adjacency, so a
+        returned :class:`CSRView` is a frozen snapshot that later
+        mutations never reach.
 
         Parameters
         ----------
@@ -337,43 +314,14 @@ class Graph:
         index = {v: i for i, v in enumerate(ordered)}
         if len(index) != len(ordered):
             raise ValueError("duplicate vertices in requested order")
-        for v in ordered:
-            if v not in self._adj:
-                raise VertexNotFound(v)
-        cached = self._csr_cache
-        if cached is not None:
-            view = self._csr_from_cache(cached, ordered, index)
-            if view is not None:
-                return view
-        view = self._csr_build(ordered, index)
-        self._csr_cache = view
-        self._csr_dirty.clear()
-        self._csr_added.clear()
-        return view
-
-    def _drop_csr_cache(self) -> None:
-        """Forget the cached CSR export (deletions invalidate wholesale)."""
-        if self._csr_cache is not None:
-            self._csr_cache = None
-            self._csr_dirty.clear()
-            self._csr_added.clear()
-
-    def _csr_row(
-        self, v: VertexId, index: Dict[VertexId, int]
-    ) -> List[Tuple[int, float]]:
-        """Column-sorted ``(col, weight)`` pairs of row ``v`` under ``index``."""
-        return sorted(
-            (index[u], w) for u, w in self._adj[v].items() if u in index
-        )
-
-    def _csr_build(self, ordered: List[VertexId], index: Dict[VertexId, int]) -> CSRView:
-        """Full from-scratch CSR construction (the oracle for the cache)."""
         rows: List[int] = []
         cols: List[int] = []
         vals: List[float] = []
-        for v in ordered:
-            i = index[v]
-            for u, w in self._adj[v].items():
+        for i, v in enumerate(ordered):
+            nbrs = self._adj.get(v)
+            if nbrs is None:
+                raise VertexNotFound(v)
+            for u, w in nbrs.items():
                 j = index.get(u)
                 if j is not None:
                     rows.append(i)
@@ -384,67 +332,6 @@ class Graph:
             (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
         )
         return CSRView(mat, ordered)
-
-    def _csr_from_cache(
-        self,
-        cached: CSRView,
-        ordered: List[VertexId],
-        index: Dict[VertexId, int],
-    ) -> Optional[CSRView]:
-        """Serve ``to_csr(ordered)`` from ``cached``, or ``None`` to rebuild.
-
-        Valid only when ``ordered`` extends ``cached.order`` and every
-        appended vertex was added after the snapshot: then a clean cached
-        row can only have changed via an edge touching it, which marked
-        the row dirty (deletions dropped the cache entirely).
-        """
-        k = len(cached.order)
-        n = len(ordered)
-        if k == 0 or n < k or ordered[:k] != cached.order:
-            return None
-        appended = ordered[k:]
-        if any(v not in self._csr_added for v in appended):
-            return None
-        rebuild = self._csr_dirty.intersection(index)
-        if n == k and not rebuild:
-            return cached
-        rebuild.update(appended)
-        old = cached.matrix
-        idx_dtype = old.indices.dtype
-        parts_idx: List[np.ndarray] = []
-        parts_dat: List[np.ndarray] = []
-        for v in ordered:
-            if v in rebuild:
-                pairs = self._csr_row(v, index)
-                parts_idx.append(
-                    np.fromiter((j for j, _ in pairs), dtype=idx_dtype, count=len(pairs))
-                )
-                parts_dat.append(
-                    np.fromiter((w for _, w in pairs), dtype=np.float64, count=len(pairs))
-                )
-            else:
-                i = cached.index[v]
-                lo, hi = old.indptr[i], old.indptr[i + 1]
-                parts_idx.append(old.indices[lo:hi])
-                parts_dat.append(old.data[lo:hi])
-        lengths = np.fromiter((len(p) for p in parts_idx), dtype=np.int64, count=n)
-        nnz = int(lengths.sum())
-        if nnz > np.iinfo(idx_dtype).max:
-            return None  # index dtype would differ from a fresh build
-        indptr = np.zeros(n + 1, dtype=old.indptr.dtype)
-        indptr[1:] = np.cumsum(lengths)
-        indices = (
-            np.concatenate(parts_idx) if nnz else np.empty(0, dtype=idx_dtype)
-        )
-        data = (
-            np.concatenate(parts_dat) if nnz else np.empty(0, dtype=np.float64)
-        )
-        mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        view = CSRView(mat, ordered)
-        self._csr_cache = view
-        self._csr_dirty.difference_update(rebuild)
-        self._csr_added.difference_update(index)
-        return view
 
     # ------------------------------------------------------------------
     # dunder conveniences

@@ -27,8 +27,6 @@ from .faults import (
 from .index import GlobalIndex
 from .message import (
     DeltaRows,
-    Message,
-    MessageKind,
     delta_row_words,
     dense_row_words,
     dv_payload_words,
@@ -64,8 +62,6 @@ __all__ = [
     "GlobalIndex",
     "Tracer",
     "PhaseRecord",
-    "Message",
-    "MessageKind",
     "DeltaRows",
     "dense_row_words",
     "delta_row_words",

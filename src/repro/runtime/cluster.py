@@ -177,7 +177,7 @@ class Cluster:
         t = max(times) if times else 0.0
         if self.health is not None and self._spec_context is not None:
             t = self._mitigated_barrier(times)
-        rec = self.tracer._open
+        rec = self.tracer.open_phase
         if times:
             # critical rank = first slowest (deterministic tiebreak);
             # it is charged the whole (possibly mitigated) barrier
@@ -264,9 +264,8 @@ class Cluster:
                     monitor.speculations += 1
                     monitor.speculation_saved_seconds += times[r] - mitigated
                     effective[r] = mitigated
-        rec = self.tracer._open
-        if rec is not None and monitor.speculations:
-            rec.info["speculations"] = float(monitor.speculations)
+        if monitor.speculations:
+            self.tracer.note("speculations", float(monitor.speculations))
         return max(effective)
 
     def charge_serial_compute(self, seconds: float) -> None:
@@ -528,17 +527,12 @@ class Cluster:
                 if not chaos.ack_lost(src, dst, seq):
                     self.workers[src].ack_packet(dst, seq)
         self.charge_comm_words(messages + acks)
+        if retries:
+            self.tracer.tally("retries", retries)
         if backoff:
             # backoff is wait time on the modeled clock, priced like comm
             self.tracer.add_comm(backoff)
-        rec = self.tracer._open
-        if rec is not None:
-            if retries:
-                rec.info["retries"] = rec.info.get("retries", 0.0) + retries
-            if backoff:
-                rec.info["backoff_seconds"] = (
-                    rec.info.get("backoff_seconds", 0.0) + backoff
-                )
+            self.tracer.tally("backoff_seconds", backoff)
         return delivered
 
     def relax_and_propagate(self) -> bool:
@@ -752,13 +746,3 @@ class Cluster:
 
     def converged_vote(self) -> bool:
         return not any(w.has_pending() for w in self.workers)
-
-    def load_report(self) -> Dict[str, List[float]]:
-        """Per-worker load statistics (vertices, cut edges, compute ops)."""
-        return {
-            "vertices": [float(w.n_local) for w in self.workers],
-            "cut_edges": [
-                float(sum(len(d) for d in w.cut_adj.values()))
-                for w in self.workers
-            ],
-        }

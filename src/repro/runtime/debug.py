@@ -82,7 +82,7 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
     for w in cluster.workers:
         for x in w.cut_by_ext:
             owner = cluster.workers[cluster.owner_of(x)]
-            assert w.rank in owner.subscribers.get(x, set()), (
+            assert w.rank in owner.subscribers.get(x, ()), (
                 f"rank {w.rank} not subscribed to {x}"
             )
     checks.append("subscriptions-wired")

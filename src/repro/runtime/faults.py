@@ -60,18 +60,8 @@ def crash_worker(cluster: "Cluster", rank: Rank) -> None:
     """
     if not 0 <= rank < cluster.nprocs:
         raise RuntimeSimulationError(f"no worker with rank {rank}")
-    w = cluster.workers[rank]
-    n_cols = cluster.n_columns
-    w.dv = np.full((w.n_local, n_cols), np.inf, dtype=np.float64)
-    w.local_apsp = np.zeros((0, 0), dtype=np.float64)
-    w.ext_dvs.clear()
-    w._fresh_ext.clear()
-    w._changed_rows.clear()
-    w._dirty_cols = np.zeros(n_cols, dtype=bool)
-    w.subscribers = {}
-    w.take_compute_seconds()  # drop any un-synced metering
+    cluster.workers[rank].lose_state(cluster.n_columns)
     for peer in cluster.workers:
-        w.reset_channel(peer.rank)
         if peer.rank != rank:
             peer.reset_channel(rank)
 
@@ -181,11 +171,7 @@ def recover_worker_from_snapshot(
     # everything restored must flow to subscribers and re-propagate
     w.request_full_repropagate()
     _rewire_rank(cluster, rank)
-    # sorted for replay determinism: _queue_row only adds to per-channel
-    # sets today, but iterating a dict in rebuild order would make this
-    # path's behavior hostage to _rewire_rank's wiring order
-    for v in sorted(w.subscribers):
-        w._queue_row(v)
+    w.queue_all_boundary_rows()
     cluster.sync_compute()
     check_cluster_invariants(cluster)
 
@@ -265,7 +251,7 @@ def redistribute_worker(
 
 def crash_and_recover(cluster: "Cluster", rank: Rank) -> None:
     """Crash ``rank`` and immediately warm-restart it (one fault event)."""
-    rec_open = cluster.tracer._open is None
+    rec_open = cluster.tracer.open_phase is None
     if rec_open:
         cluster.tracer.begin("fault_recovery")
     crash_worker(cluster, rank)
@@ -307,7 +293,7 @@ def _rewire_rank(cluster: "Cluster", rank: Rank) -> None:
             peer.unsubscribe_rank(rank)
     # cut_by_ext iterates in load_subgraph's insertion order, which is a
     # pure function of the (sorted) local sub-graph — deterministic, and
-    # subscribe() itself is order-insensitive (keyed dict of sets)
+    # subscribe() itself is order-insensitive (sorted per-vertex lists)
     for x in w.cut_by_ext:
         cluster.workers[cluster.owner_of(x)].subscribe(x, rank)
     for peer in cluster.workers:

@@ -64,6 +64,11 @@ class Tracer:
         self.hub = hub if hub is not None else NULL_HUB
 
     # ------------------------------------------------------------------
+    @property
+    def open_phase(self) -> Optional[PhaseRecord]:
+        """The phase record being charged, or ``None`` between phases."""
+        return self._open
+
     def now(self) -> float:
         """The modeled clock *including* the open phase's running charge.
 
@@ -117,8 +122,16 @@ class Tracer:
             self._open.words += words
 
     def note(self, key: str, value: float) -> None:
+        """Set ``info[key]`` on the open phase (no-op between phases)."""
         if self._open is not None:
             self._open.info[key] = value
+
+    def tally(self, key: str, amount: float) -> None:
+        """Add ``amount`` to ``info[key]`` on the open phase (no-op
+        between phases)."""
+        if self._open is not None:
+            info = self._open.info
+            info[key] = info.get(key, 0.0) + amount
 
     def end(self) -> PhaseRecord:
         rec = self._require_open()

@@ -21,6 +21,7 @@ error shrinks monotonically.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -86,12 +87,9 @@ class Worker:
         #: external vertex -> [(local vertex, weight), ...]
         self.cut_by_ext: Dict[VertexId, List[Tuple[VertexId, float]]] = {}
         #: ranks that need each owned vertex's DV row (it is in their
-        #: external boundary)
-        self._subscribers: Dict[VertexId, Set[Rank]] = {}
-        #: per-vertex memo of the subscriber set in sorted rank order;
-        #: invalidated on (un)subscription so the hot queueing paths
-        #: stop re-sorting per row per superstep
-        self._subs_sorted: Dict[VertexId, List[Rank]] = {}
+        #: external boundary), sorted and duplicate-free; mutate only via
+        #: subscribe / record_subscriber / unsubscribe_rank
+        self.subscribers: Dict[VertexId, List[Rank]] = {}
 
         self._dv: FloatArray = self.allocator.adopt(
             np.zeros((0, 0), dtype=np.float64), None
@@ -152,39 +150,16 @@ class Worker:
         return len(self.owned)
 
     # ------------------------------------------------------------------
-    # subscription records (with a sorted-order memo for the hot paths)
+    # subscription records
     # ------------------------------------------------------------------
-    @property
-    def subscribers(self) -> Dict[VertexId, Set[Rank]]:
-        """Subscription records: owned vertex -> ranks needing its row.
-
-        Mutate only through :meth:`subscribe` / :meth:`unsubscribe_rank`
-        / :meth:`record_subscriber` (or wholesale assignment), so the
-        sorted-order memo stays coherent.
-        """
-        return self._subscribers
-
-    @subscribers.setter
-    def subscribers(self, value: Dict[VertexId, Set[Rank]]) -> None:
-        self._subscribers = value
-        self._subs_sorted = {}
-
-    def _sorted_subscribers(self, v: VertexId) -> List[Rank]:
-        """Subscribers of ``v`` in sorted rank order (memoized)."""
-        cached = self._subs_sorted.get(v)
-        if cached is None:
-            subs = self._subscribers.get(v)
-            if not subs:
-                return []
-            cached = self._subs_sorted[v] = sorted(subs)
-        return cached
-
     def record_subscriber(self, v: VertexId, dst: Rank) -> None:
         """Add a subscription record only — no row queueing, no channel
         baseline reset.  Used by recovery paths that restore who *would*
         receive each boundary row without scheduling any sends."""
-        self._subscribers.setdefault(v, set()).add(dst)
-        self._subs_sorted.pop(v, None)
+        subs = self.subscribers.setdefault(v, [])
+        i = bisect_left(subs, dst)
+        if i == len(subs) or subs[i] != dst:
+            subs.insert(i, dst)
 
     @property
     def n_cols(self) -> int:
@@ -261,6 +236,25 @@ class Worker:
         self._seen_seq = [set() for _ in range(self.nprocs)]
         self._sent_rows = [{} for _ in range(self.nprocs)]
 
+    def lose_state(self, n_cols: int) -> None:
+        """Drop everything a crash destroys, keeping the owned block.
+
+        The DV rows restart at +inf over ``n_cols`` columns; the local
+        APSP, stored external rows, change tracking, subscriptions,
+        un-synced metering and this worker's channel state are gone.
+        Peers' channels to this rank are the caller's to reset.
+        """
+        self.dv = np.full((self.n_local, n_cols), np.inf, dtype=np.float64)
+        self.local_apsp = np.zeros((0, 0), dtype=np.float64)
+        self.ext_dvs.clear()
+        self._fresh_ext.clear()
+        self._changed_rows.clear()
+        self._dirty_cols = np.zeros(n_cols, dtype=bool)
+        self.subscribers = {}
+        self.take_compute_seconds()
+        for peer in range(self.nprocs):
+            self.reset_channel(peer)
+
     # ------------------------------------------------------------------
     # IA phase
     # ------------------------------------------------------------------
@@ -329,15 +323,8 @@ class Worker:
     # change tracking / messaging
     # ------------------------------------------------------------------
     def _queue_row(self, v: VertexId) -> None:
-        """Queue ``v``'s DV row for every subscriber rank.
-
-        Subscribers are a set; iterate in sorted rank order so queueing
-        (and the trace events it later produces) is run-to-run stable.
-        The sorted order is memoized per vertex — this runs per row per
-        superstep, and re-sorting an unchanged set dominated the apply
-        path.
-        """
-        for dst in self._sorted_subscribers(v):
+        """Queue ``v``'s DV row for every subscriber rank."""
+        for dst in self.subscribers.get(v, ()):
             self._pending[dst].add(v)
 
     def _mark_row_changed(self, row: int) -> None:
@@ -345,14 +332,10 @@ class Worker:
         self._queue_row(self.owned[row])
 
     def _mark_rows_changed(self, rows: IndexArray) -> None:
-        """Bulk version of :meth:`_mark_row_changed` for vectorized kernels.
-
-        Queues into the pending sets in any rank order: they are consumed
-        sorted, so the sorted-subscriber memo would only add lookups here.
-        """
+        """Bulk version of :meth:`_mark_row_changed` for vectorized kernels."""
         idx = rows.tolist()
         self._changed_rows.update(idx)
-        subscribers = self._subscribers
+        subscribers = self.subscribers
         if not subscribers:
             return
         owned, pending = self.owned, self._pending
@@ -365,8 +348,7 @@ class Worker:
         """Rank ``dst`` wants updates of ``v``'s DV row from now on."""
         if v not in self.row_of:
             raise WorkerError(f"rank {self.rank} does not own vertex {v}")
-        self._subscribers.setdefault(v, set()).add(dst)
-        self._subs_sorted.pop(v, None)
+        self.record_subscriber(v, dst)
         self._pending[dst].add(v)  # send the current row at the next exchange
         # a (re-)subscription always starts from a dense row: the receiver
         # may have dropped (or never held) its copy
@@ -374,9 +356,9 @@ class Worker:
 
     def unsubscribe_rank(self, dst: Rank) -> None:
         """Drop all subscriptions from ``dst`` (used on repartition)."""
-        for subs in self._subscribers.values():
-            subs.discard(dst)
-        self._subs_sorted = {}
+        for subs in self.subscribers.values():
+            if dst in subs:
+                subs.remove(dst)
         self._pending[dst].clear()
         self._sent_rows[dst].clear()
 
@@ -1077,8 +1059,7 @@ class Worker:
                 del self.cut_by_ext[x]
                 self.ext_dvs.pop(x, None)
                 self._fresh_ext.discard(x)
-        self._subscribers.pop(v, None)
-        self._subs_sorted.pop(v, None)
+        self.subscribers.pop(v, None)
         for pend in self._pending:
             pend.discard(v)
         for baselines in self._sent_rows:

@@ -14,6 +14,7 @@ from repro.centrality import (
     harmonic_from_row,
     radius_diameter,
 )
+from repro.core import take_snapshot
 from repro.errors import ConfigurationError
 from repro.graph import Graph, barabasi_albert
 
@@ -119,6 +120,21 @@ class TestEngineMeasures:
     def test_closeness_measure_matches_run(self, engine):
         e, _g = engine
         assert e.current_measure("closeness") == e.current_closeness()
+
+    def test_readouts_agree_mid_run(self):
+        g = barabasi_albert(60, 2, seed=3)
+        e = AnytimeAnywhereCloseness(
+            g, AnytimeConfig(nprocs=4, wf_improved=True)
+        )
+        e.setup()
+        snap = take_snapshot(e.cluster, 0, wf_improved=True)
+        assert list(e.current_closeness().items()) == list(
+            snap.closeness.items()
+        )
+        assert snap.unresolved_pairs == sum(
+            int(np.isinf(w.dv).sum()) for w in e.cluster.workers
+        )
+        assert snap.unresolved_pairs > 0
 
     def test_unknown_measure(self, engine):
         e, _g = engine

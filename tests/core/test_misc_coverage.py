@@ -86,14 +86,3 @@ def test_snapshot_on_empty_worker():
     cluster.run_initial_approximation()
     snap = take_snapshot(cluster, 0)
     assert set(snap.closeness) == {0, 1, 2}
-
-
-def test_cluster_load_report_keys():
-    g = barabasi_albert(30, 2, seed=1)
-    cluster = Cluster(g, 2)
-    from repro.partition import MultilevelPartitioner
-
-    cluster.decompose(MultilevelPartitioner(seed=1))
-    report = cluster.load_report()
-    assert set(report) == {"vertices", "cut_edges"}
-    assert sum(report["vertices"]) == 30

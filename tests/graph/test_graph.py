@@ -1,5 +1,6 @@
 """Unit tests for the core Graph data structure."""
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -204,6 +205,32 @@ class TestCSRExport:
     def test_len(self):
         g = path_graph(4)
         assert len(g.to_csr()) == 4
+
+    def test_view_is_frozen_snapshot(self):
+        g = path_graph(4)
+        view = g.to_csr()
+        before = view.matrix.toarray()
+        g.add_vertex(9)
+        g.add_edge(9, 0, 2.5)
+        g.add_edge(1, 2, 7.0)
+        g.remove_edge(2, 3)
+        np.testing.assert_array_equal(view.matrix.toarray(), before)
+        assert view.order == [0, 1, 2, 3]
+
+    def test_export_follows_mutations(self):
+        g = path_graph(4)
+        g.to_csr()
+        g.add_vertex(9)
+        g.add_edge(9, 0, 2.5)
+        g.add_edge(1, 2, 7.0)
+        g.remove_vertex(3)
+        order = [9, 2, 1, 0]
+        view = g.to_csr(order)
+        expected = np.zeros((4, 4))
+        for u, v, w in g.edges():
+            i, j = order.index(u), order.index(v)
+            expected[i, j] = expected[j, i] = w
+        np.testing.assert_array_equal(view.matrix.toarray(), expected)
 
 
 class TestCopyEq:

@@ -51,6 +51,21 @@ def test_note_outside_phase_is_noop():
     Tracer().note("k", 1.0)  # must not raise
 
 
+def test_tally_accumulates_inside_phase_only():
+    t = Tracer()
+    t.tally("retries", 2)
+    assert t.open_phase is None
+    t.begin("rc_step", 1)
+    t.note("speculations", 1.0)
+    t.tally("retries", 2)
+    t.tally("retries", 3)
+    assert t.open_phase is not None and t.open_phase.name == "rc_step"
+    rec = t.end()
+    assert rec.info == {"speculations": 1.0, "retries": 5.0}
+    assert list(rec.info) == ["speculations", "retries"]
+    assert t.open_phase is None
+
+
 def test_by_phase_aggregation():
     t = Tracer()
     for name, secs in (("rc_step", 1.0), ("rc_step", 2.0), ("ia", 4.0)):

@@ -105,6 +105,63 @@ class TestMessaging:
         assert not w.build_payload(1)
 
 
+class TestSubscriberLists:
+    """Each owned vertex keeps its subscriber ranks sorted, without
+    duplicates, through every path that edits them."""
+
+    def _worker(self):
+        g = path_graph(6)
+        owner = {v: (0 if v < 4 else 1) for v in range(6)}
+        return make_worker(g, [0, 1, 2, 3], owner, nprocs=6)
+
+    def test_subscribe_and_record_keep_sorted_unique(self):
+        w = self._worker()
+        w.subscribe(2, 5)
+        w.subscribe(2, 1)
+        w.record_subscriber(2, 3)
+        w.subscribe(2, 1)
+        w.record_subscriber(2, 5)
+        assert w.subscribers[2] == [1, 3, 5]
+
+    def test_unsubscribe_rank_removes_from_every_list(self):
+        w = self._worker()
+        w.subscribe(1, 4)
+        w.subscribe(2, 4)
+        w.subscribe(2, 3)
+        w.unsubscribe_rank(4)
+        assert w.subscribers == {1: [], 2: [3]}
+
+    def test_remove_local_vertex_drops_its_list(self):
+        w = self._worker()
+        w.run_initial_approximation()
+        w.subscribe(1, 4)
+        w.subscribe(2, 4)
+        w.remove_local_vertex(2)
+        assert w.subscribers == {1: [4]}
+
+    def test_changed_row_queued_for_each_subscriber(self):
+        w = self._worker()
+        w.subscribe(2, 5)
+        w.subscribe(2, 1)
+        for dst in (1, 5):
+            w.build_payload(dst)
+        w._mark_rows_changed(np.array([w.row_of[2]]))
+        assert w.pending_row_count() == 2
+        for dst in (1, 5):
+            w.build_payload(dst)
+        assert w.pending_row_count() == 0
+
+    def test_lose_state_clears_subscriptions_and_tracking(self):
+        w = self._worker()
+        w.run_initial_approximation()
+        w.subscribe(2, 5)
+        w.lose_state(w.n_cols)
+        assert w.subscribers == {}
+        assert np.isinf(w.dv).all()
+        assert w.local_apsp.size == 0
+        assert not w.has_pending()
+
+
 class TestRelaxAndPropagate:
     def test_cut_relax_improves_boundary(self):
         _g, w = path4_worker()

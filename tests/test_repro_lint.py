@@ -290,6 +290,46 @@ class TestRPL002:
         findings = lint_source(tmp_path, "src/repro/partition/p.py", source)
         assert codes(findings) == ["RPL002"]
 
+    def test_flags_set_map_alias(self, tmp_path: Path) -> None:
+        # a local alias of a set-valued map must not hide the lookup
+        source = """
+            from typing import Dict, List, Set
+
+            class W:
+                def __init__(self) -> None:
+                    self._subscribers: Dict[int, Set[int]] = {}
+                    self._pending: List[Set[int]] = []
+
+                def f(self, v: int) -> None:
+                    subscribers = self._subscribers
+                    for dst in subscribers.get(v, ()):
+                        handle(dst)
+
+                def g(self, dst: int) -> None:
+                    pending = self._pending
+                    for v in pending[dst]:
+                        handle(v)
+        """
+        findings = lint_source(tmp_path, "src/repro/runtime/w.py", source)
+        assert codes(findings) == ["RPL002", "RPL002"]
+        assert [f.line for f in findings] == [11, 16]
+
+    def test_list_valued_map_alias_is_clean(self, tmp_path: Path) -> None:
+        source = """
+            from typing import Dict, List
+
+            class W:
+                def __init__(self) -> None:
+                    self.subscribers: Dict[int, List[int]] = {}
+
+                def f(self, v: int) -> None:
+                    subscribers = self.subscribers
+                    for dst in subscribers.get(v, ()):
+                        handle(dst)
+        """
+        findings = lint_source(tmp_path, "src/repro/runtime/w.py", source)
+        assert findings == []
+
     def test_reassignment_clears_taint(self, tmp_path: Path) -> None:
         source = """
             def f():

@@ -201,6 +201,12 @@ class _Taint:
     def _classify_value(self, value: ast.expr) -> Optional[str]:
         if self.is_set(value):
             return "set"
+        # aliases (``subs = self._subscribers``) keep the value's kind,
+        # so lookups through the alias stay visible
+        if self.is_set_map(value):
+            return "set_map"
+        if self.is_set_container(value):
+            return "set_container"
         if isinstance(value, ast.ListComp) and self.is_set(value.elt):
             return "set_container"
         if isinstance(value, (ast.List, ast.Tuple)) and value.elts and all(
